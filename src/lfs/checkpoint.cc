@@ -19,7 +19,7 @@ struct RawCpHeader {
   uint64_t timestamp;
   uint64_t next_write_seq;
   uint32_t crc;
-  uint32_t pad;
+  uint32_t next_segment;
 };
 static_assert(sizeof(RawCpHeader) == 56);
 constexpr uint32_t kCpMagic = 0x43504B31;  // "CPK1"
@@ -45,6 +45,7 @@ void CheckpointData::Encode(char* out, uint32_t nblocks) const {
   h.seq = seq;
   h.timestamp = timestamp;
   h.next_write_seq = next_write_seq;
+  h.next_segment = next_segment;
   h.crc = 0;
   char* p = out + sizeof(h);
   memcpy(p, imap_addrs.data(), imap_addrs.size() * sizeof(BlockAddr));
@@ -78,6 +79,7 @@ Result<CheckpointData> CheckpointData::Decode(const char* in,
   cp.cur_offset = h.cur_offset;
   cp.cur_generation = h.cur_generation;
   cp.next_write_seq = h.next_write_seq;
+  cp.next_segment = h.next_segment;
   cp.imap_addrs.resize(h.n_imap);
   const char* p = in + sizeof(h);
   memcpy(cp.imap_addrs.data(), p, 8ull * h.n_imap);

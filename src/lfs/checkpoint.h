@@ -18,11 +18,18 @@ class SegmentUsage;
 
 /// \brief Everything a checkpoint persists.
 struct CheckpointData {
+  /// `next_segment` value when no successor has been named.
+  static constexpr uint32_t kNoSegment = ~0u;
+
   uint64_t seq = 0;             ///< monotonic checkpoint counter
   SimTime timestamp = 0;
   uint32_t cur_segment = 0;     ///< write point at checkpoint time
   uint32_t cur_offset = 0;
   uint32_t cur_generation = 0;
+  /// Successor segment named by the last chunk when that chunk filled
+  /// cur_segment (the write point sits at the segment end); roll-forward
+  /// resumes there. kNoSegment otherwise.
+  uint32_t next_segment = kNoSegment;
   uint64_t next_write_seq = 0;  ///< expected seq of the next partial segment
   std::vector<BlockAddr> imap_addrs;
   std::vector<char> usage_bytes;  ///< SegmentUsage::Serialize output

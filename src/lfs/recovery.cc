@@ -10,19 +10,13 @@
 // which the checkpoint_write_in_flight_ flag enforces.
 //
 // Recovery loads the newer valid checkpoint, rolls the log forward along
-// the summary chain (staging transaction-tagged chunks until their commit
-// marker), then rebuilds the usage table exactly and writes a fresh
-// checkpoint. The roll-forward is pipelined: the scanner walks the chain
-// with timed reads while replay workers — one SimEnv process per
-// partition — apply inode-map updates. Updates are partitioned by inode-
-// map block, so two updates that touch the same map entry always land in
-// the same partition's FIFO queue in log order: the recovered state is
-// byte-identical to a sequential replay, on either execution backend.
+// the summary chain, then rebuilds the usage table exactly and writes a
+// fresh checkpoint. The roll-forward is one sequential loop: each chunk's
+// inode-map updates are applied inline, in log order, as the scanner
+// reaches them; transaction-tagged chunks stage until their commit marker.
 #include <algorithm>
 #include <cstring>
-#include <deque>
 #include <map>
-#include <memory>
 #include <vector>
 
 #include "check/gen_stamp.h"
@@ -42,6 +36,12 @@ Status Lfs::CaptureCheckpointLocked(CheckpointData* cp, BlockAddr* region) {
   cp->cur_segment = cur_seg_;
   cp->cur_offset = cur_off_;
   cp->cur_generation = cur_gen_;
+  // A head at a segment end continues in the successor the last chunk
+  // named (see FlushLocked's seal); roll-forward must start there.
+  cp->next_segment = cur_off_ + 2 > options_.segment_blocks &&
+                             next_seg_hint_ >= 0
+                         ? static_cast<uint32_t>(next_seg_hint_)
+                         : CheckpointData::kNoSegment;
   cp->next_write_seq = next_write_seq_;
   cp->imap_addrs = imap_.block_addrs();
   cp->usage_bytes.resize(usage_.SerializedBytes());
@@ -119,45 +119,11 @@ void ForEachInode(const char* block, Fn fn) {
     }
   }
 }
-
-// One inode-map update learned from the scan, routed to a replay
-// partition by the imap block it touches (kInode: BlockOf(inum); kImap:
-// the map block itself). Same map block -> same partition -> FIFO
-// preserves log order for every entry both updates cover.
-struct ReplayItem {
-  BlockKind kind;
-  BlockAddr addr = 0;
-  InodeNum inum = kInvalidInode;  // kInode: one decoded inode
-  uint32_t version = 0;           // kInode
-  uint64_t lblock = 0;            // kImap: map block index
-  std::vector<char> bytes;        // kImap: block image
-};
-
-struct ReplayPartition {
-  explicit ReplayPartition(SimEnv* env) : ready(env) {}
-  std::deque<ReplayItem> q;
-  WaitQueue ready;
-  bool done = false;  // scanner reached end of chain, drain and exit
-};
-
-// Heap-allocated and captured by shared_ptr value in the workers, so a
-// scanner that bails out on shutdown leaves nothing dangling.
-struct ReplayShared {
-  ReplayShared(SimEnv* env, uint32_t n) : done_q(env) {
-    parts.reserve(n);
-    for (uint32_t i = 0; i < n; i++) {
-      parts.push_back(std::make_unique<ReplayPartition>(env));
-    }
-  }
-  std::vector<std::unique_ptr<ReplayPartition>> parts;
-  uint32_t running = 0;
-  WaitQueue done_q;  // scanner waits here for workers to drain
-};
 }  // namespace
 
 Status Lfs::RecoverFromCheckpointAndRollForward() {
-  // Recovery I/O (and the replay workers' CPU) bills to the checkpoint
-  // cause: it is the price of the checkpoint interval chosen.
+  // Recovery I/O and CPU bill to the checkpoint cause: it is the price of
+  // the checkpoint interval chosen.
   ProfCauseScope prof_cause(env_->profiler(), IoCause::kCheckpoint);
   recovery_stats_ = RecoveryStats();
   SimTime recover_start = env_->Now();
@@ -216,92 +182,33 @@ Status Lfs::RecoverFromCheckpointAndRollForward() {
               {"region", best_is_a ? "A" : "B"}, {"seg", cur_seg_},
               {"off", cur_off_}, {"next_write_seq", next_write_seq_});
 
-  // ---- 3. roll forward along the summary chain (pipelined) ----
-  uint32_t nparts = std::max<uint32_t>(1, options_.recovery_partitions);
-  recovery_stats_.partitions = nparts;
+  // ---- 3. roll forward along the summary chain ----
   SimTime scan_start = env_->Now();
 
-  // Applies one item in the calling process, charging its CPU cost.
-  auto apply_item = [this](const ReplayItem& u) {
-    uint64_t cost;
-    if (u.kind == BlockKind::kInode) {
-      imap_.Set(u.inum, u.addr, u.version);
-      cost = std::max<uint64_t>(
-          1, env_->costs().segment_block_cpu_us / kInodesPerBlock);
-    } else {
-      imap_.DecodeBlock(static_cast<uint32_t>(u.lblock), u.bytes.data());
-      imap_.block_addrs()[u.lblock] = u.addr;
-      cost = env_->costs().segment_block_cpu_us;
-    }
+  // Applies one logged inode or inode-map block, charging the CPU cost of
+  // each inode-map update it makes.
+  const uint64_t block_us = env_->costs().segment_block_cpu_us;
+  auto charge = [&](uint64_t cost) {
     recovery_stats_.apply_items++;
     recovery_stats_.apply_us += cost;
     env_->Consume(cost);
   };
-
-  // LFSTX_YIELD_OK(roll-forward runs inside Mount, before any other process can reach this Lfs)
-  auto shared = std::make_shared<ReplayShared>(env_, nparts);
-  if (nparts > 1) {
-    for (uint32_t p = 0; p < nparts; p++) {
-      shared->running++;
-      env_->Spawn("lfs.replay." + std::to_string(p),
-                  [this, shared, apply_item, p] {
-                    ProfCauseScope cause(env_->profiler(),
-                                         IoCause::kCheckpoint);
-                    ReplayPartition* part = shared->parts[p].get();
-                    while (!env_->stop_requested()) {
-                      if (!part->q.empty()) {
-                        ReplayItem u = std::move(part->q.front());
-                        part->q.pop_front();
-                        apply_item(u);
-                        continue;
-                      }
-                      if (part->done) break;
-                      if (part->ready.Sleep() == WakeReason::kStopped) break;
-                    }
-                    shared->running--;
-                    shared->done_q.WakeAll();
-                  });
-    }
-  }
-
-  // Route an update to its partition's FIFO (or apply inline when
-  // sequential). kInode updates explode into per-inode triples so the
-  // partition key is the imap block each one actually touches.
-  auto dispatch = [&](BlockKind kind, BlockAddr addr, uint64_t lblock,
-                      const char* bytes) {
+  auto apply = [&](BlockKind kind, BlockAddr addr, uint64_t lblock,
+                   const char* bytes) {
     if (kind == BlockKind::kInode) {
       ForEachInode(bytes, [&](const DiskInode& d) {
-        ReplayItem u;
-        u.kind = BlockKind::kInode;
-        u.addr = addr;
-        u.inum = d.inum;
-        u.version = d.version;
-        if (nparts > 1) {
-          uint32_t p = (d.inum / kImapEntriesPerBlock) % nparts;
-          shared->parts[p]->q.push_back(std::move(u));
-          shared->parts[p]->ready.WakeAll();
-        } else {
-          apply_item(u);
-        }
+        imap_.Set(d.inum, addr, d.version);
+        charge(std::max<uint64_t>(1, block_us / kInodesPerBlock));
       });
     } else {
-      ReplayItem u;
-      u.kind = BlockKind::kImap;
-      u.addr = addr;
-      u.lblock = lblock;
-      u.bytes.assign(bytes, bytes + kBlockSize);
-      if (nparts > 1) {
-        uint32_t p = static_cast<uint32_t>(lblock) % nparts;
-        shared->parts[p]->q.push_back(std::move(u));
-        shared->parts[p]->ready.WakeAll();
-      } else {
-        apply_item(u);
-      }
+      imap_.DecodeBlock(static_cast<uint32_t>(lblock), bytes);
+      imap_.block_addrs()[lblock] = addr;
+      charge(block_us);
     }
   };
 
   // Chunks of a transaction stage here (as raw block images) until the
-  // chunk carrying the commit marker dispatches them in log order.
+  // chunk carrying the commit marker applies them in log order.
   struct Staged {
     BlockKind kind;
     BlockAddr addr;
@@ -312,6 +219,14 @@ Status Lfs::RecoverFromCheckpointAndRollForward() {
 
   Status scan_status = Status::OK();
   BlockAddr next = SegBase(cur_seg_) + cur_off_;  // LFSTX_YIELD_OK(Mount is exclusive: nothing else mutates the log head yet)
+  if (cur_off_ + 2 > options_.segment_blocks) {
+    // The last chunk before the checkpoint filled its segment, so the
+    // chain continues in the successor that chunk named, not at the next
+    // address.
+    next = best.next_segment == CheckpointData::kNoSegment
+               ? kInvalidBlock
+               : SegBase(best.next_segment);
+  }
   uint64_t expect_seq = next_write_seq_;  // LFSTX_YIELD_OK(Mount is exclusive: nothing else mutates the log head yet)
   std::vector<char> seg_buf(
       static_cast<size_t>(options_.segment_blocks) * kBlockSize);
@@ -370,13 +285,12 @@ Status Lfs::RecoverFromCheckpointAndRollForward() {
                        seg_buf.data() + (2ull + i) * kBlockSize);
         staged[s.txn].push_back(std::move(u));
       } else {
-        dispatch(kind, addr, e.lblock,
-                 seg_buf.data() + (1ull + i) * kBlockSize);
+        apply(kind, addr, e.lblock, seg_buf.data() + (1ull + i) * kBlockSize);
       }
     }
     if (s.txn != kNoTxn && s.txn_commit) {
       for (const Staged& u : staged[s.txn]) {
-        dispatch(u.kind, u.addr, u.lblock, u.bytes.data());
+        apply(u.kind, u.addr, u.lblock, u.bytes.data());
       }
       staged.erase(s.txn);
     }
@@ -388,28 +302,16 @@ Status Lfs::RecoverFromCheckpointAndRollForward() {
     next = s.next_addr;
   }
   next_write_seq_ = expect_seq;
+  // A head left at a segment end must advance into the successor its last
+  // chunk named, or the chain breaks there at the next crash.
+  next_seg_hint_ = cur_off_ + 2 > options_.segment_blocks &&
+                           next >= geo_.seg_start &&
+                           next < disk_->num_blocks()
+                       ? static_cast<int64_t>(SegOf(next))
+                       : -1;
   recovery_stats_.chunks = expect_seq - best.next_write_seq;
   recovery_stats_.discarded_txns = staged.size();
-
-  // Drain the replay pipeline: workers exit once their queue is empty and
-  // done is set. After a shutdown request their Sleep returns kStopped
-  // immediately, so bail instead of spinning; workers own `shared` via the
-  // shared_ptr and exit on their own without touching this Lfs.
-  bool stopped = false;
-  if (nparts > 1) {
-    for (auto& part : shared->parts) {
-      part->done = true;
-      part->ready.WakeAll();
-    }
-    while (shared->running > 0) {
-      if (shared->done_q.Sleep() == WakeReason::kStopped) {
-        stopped = true;
-        break;
-      }
-    }
-  }
   recovery_stats_.scan_us = env_->Now() - scan_start;
-  if (stopped) return Status::Busy("simulation stopped during replay");
   LFSTX_RETURN_IF_ERROR(scan_status);
 
   // Chunks of transactions whose commit marker never made it to disk are
@@ -460,9 +362,8 @@ Status Lfs::RecoverFromCheckpointAndRollForward() {
   set("recovery.stale_chunks", "count",
       "chunks rejected by write_seq (stale data)",
       recovery_stats_.stale_chunks);
-  set("recovery.partitions", "count", "replay partitions used",
-      recovery_stats_.partitions);
-  set("recovery.scan_us", "us", "virtual time walking the chain + drain",
+  set("recovery.scan_us", "us",
+      "virtual time walking the chain and applying its updates",
       recovery_stats_.scan_us);
   set("recovery.apply_us", "us", "virtual CPU applying inode-map updates",
       recovery_stats_.apply_us);

@@ -2,12 +2,18 @@
 // at random points. Invariant: after remount (roll-forward + torn-write
 // discard), every file state that was covered by a completed SyncAll is
 // intact, and the file system is internally consistent (all reads succeed,
-// usage table rebuilds, a fresh workload runs).
+// usage table rebuilds, a fresh workload runs). A directed test pins the
+// checkpoint-at-a-segment-end case, where the chain continues in a
+// successor segment that is not the next one in address order.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdlib>
+#include <functional>
 #include <map>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "check/registry.h"
 #include "common/random.h"
@@ -221,6 +227,165 @@ TEST(LfsCrashFuzzLoop, TornFinalWritesHappenAndRecoverClean) {
       << "no crash in " << rounds
       << " rounds tore a write — the fuzz loop is not exercising the hazard";
 }
+
+// Mounts `platter` (running roll-forward), sweeps the checkers, requires
+// every file in `synced` with its synced contents, then hands the mounted
+// file system to `then`.
+void MountAndExpectSynced(SimEnv* env, SimDisk* platter,
+                          const std::map<std::string, std::string>& synced,
+                          const std::function<void(Lfs*)>& then) {
+  BufferCache cache(env, 1024);
+  Lfs fs(env, platter, &cache);
+  cache.set_writeback(&fs);
+  ASSERT_TRUE(fs.Mount().ok());
+  ExpectChecksClean(env, &cache, &fs, 0);
+  for (const auto& [path, contents] : synced) {
+    auto r = fs.Open(path);
+    ASSERT_TRUE(r.ok()) << path << " lost: synced after the checkpoint";
+    std::vector<char> buf(contents.size() + 16);
+    auto n = fs.Read(r.value(), 0, buf.size(), buf.data());
+    ASSERT_TRUE(n.ok());
+    EXPECT_EQ(std::string(buf.data(), n.value()), contents) << path;
+    ASSERT_TRUE(fs.Close(r.value()).ok());
+  }
+  then(&fs);
+}
+
+// A checkpoint captured while the log head sits at a segment end (the last
+// chunk filled the segment and named its successor) must still let
+// roll-forward reach the commits synced after it, whether the pre-crash
+// writer synced them or a writer restarted from that very checkpoint did.
+// The head is driven to the end of the *last* segment, so the named
+// successor (found by wrapping around) is never the next segment in
+// address order. Parameters: the execution backend, and the room left in
+// the segment (1 or 0 blocks). Copying a platter is the power cut.
+class SegmentEndCheckpoint
+    : public ::testing::TestWithParam<std::tuple<SimBackend, uint32_t>> {};
+
+TEST_P(SegmentEndCheckpoint, CommitsAfterCheckpointSurvive) {
+  const auto [backend, gap] = GetParam();
+  SimDisk::Options dopt;
+  dopt.geometry.cylinders = 48;  // ~22 segments: the log wraps quickly
+  SimEnv env(CostModel(), backend);
+  SimDisk disk(&env, dopt);
+  SimDisk cut_at_checkpoint(&env, dopt);
+  SimDisk cut_after_commits(&env, dopt);
+  Random rng(99);
+  std::map<std::string, std::string> synced;
+
+  // Four acknowledged commits: create a file, sync, repeat.
+  auto commit = [&](Lfs* fs, const std::string& prefix) {
+    for (int i = 0; i < 4; i++) {
+      std::string path = prefix + std::to_string(i);
+      std::string contents = rng.Bytes(64 + rng.Uniform(3 * kBlockSize));
+      auto r = fs->Create(path);
+      ASSERT_TRUE(r.ok()) << path;
+      ASSERT_TRUE(fs->Write(r.value(), 0, contents).ok());
+      ASSERT_TRUE(fs->Close(r.value()).ok());
+      ASSERT_TRUE(fs->SyncAll().ok());
+      synced[path] = contents;
+    }
+  };
+
+  env.Spawn("main", [&] {
+    {
+      BufferCache cache(&env, 1024);
+      Lfs::Options lo;
+      lo.checkpoint_every_segments = 1000000;  // only the checkpoint below
+      Lfs fs(&env, &disk, &cache, lo);
+      cache.set_writeback(&fs);
+      Cleaner::Options copt;
+      copt.poll_interval = 3600 * kSecond;  // cleaning is driven explicitly
+      Cleaner cleaner(&env, &fs, copt);
+      ASSERT_TRUE(fs.Format().ok());
+      auto pad = fs.Create("/pad");
+      ASSERT_TRUE(pad.ok());
+      // A file filling the first segments, removed once the head reaches
+      // the last one: those segments are then dead but not yet cleaned.
+      // Recovery's usage rebuild frees them, so a restarted writer that
+      // picked its own next segment would skip the named successor.
+      auto doomed = fs.Create("/doomed");
+      ASSERT_TRUE(doomed.ok());
+      ASSERT_TRUE(
+          fs.Write(doomed.value(), 0, rng.Bytes(200 * kBlockSize)).ok());
+      ASSERT_TRUE(fs.Close(doomed.value()).ok());
+      ASSERT_TRUE(fs.SyncAll().ok());
+      bool doomed_removed = false;
+
+      // Rewriting d blocks of one file and syncing appends one chunk of
+      // d + 3 blocks (summary, data, inode, imap). Wrap the log around to
+      // its last segment, then land the head exactly on the target.
+      const uint32_t kMaxData = 8;
+      const uint32_t last = fs.nsegments() - 1;
+      const uint32_t target = fs.segment_blocks() - gap;
+      for (int step = 0; step < 4000; step++) {
+        if (fs.current_segment() == last && fs.current_offset() == target) {
+          break;
+        }
+        if (fs.current_segment() == last && !doomed_removed) {
+          ASSERT_TRUE(fs.Remove("/doomed").ok());
+          ASSERT_TRUE(fs.SyncAll().ok());
+          doomed_removed = true;
+          continue;
+        }
+        uint32_t d = kMaxData;
+        if (fs.current_segment() == last) {
+          uint32_t room = target > fs.current_offset()
+                              ? target - fs.current_offset()
+                              : 0;
+          if (room >= 4 && room <= kMaxData + 3) {
+            d = room - 3;  // lands on the target
+          } else if (room > kMaxData + 3) {
+            d = std::min(kMaxData, room - 7);  // leaves room for a last chunk
+          }
+        } else {
+          while (fs.clean_segments() < 8) {
+            ASSERT_TRUE(cleaner.CleanOne().ok());
+          }
+        }
+        ASSERT_TRUE(
+            fs.Write(pad.value(), 0, rng.Bytes(d * kBlockSize)).ok());
+        ASSERT_TRUE(fs.SyncAll().ok());
+      }
+      ASSERT_EQ(fs.current_segment(), last);
+      ASSERT_EQ(fs.current_offset(), target);
+      ASSERT_TRUE(fs.Checkpoint().ok());
+      ASSERT_EQ(fs.current_offset(), target);
+      cut_at_checkpoint.CopyContentsFrom(disk);
+
+      // The successor segment takes the next commits.
+      commit(&fs, "/after");
+      ASSERT_NE(fs.current_segment(), last);
+      cut_after_commits.CopyContentsFrom(disk);
+    }
+    MountAndExpectSynced(&env, &cut_after_commits, synced, [](Lfs* fs) {
+      EXPECT_GT(fs->recovery_stats().chunks, 0u);
+    });
+
+    // Restart from the bare segment-end checkpoint: recovery replays
+    // nothing, and the restarted writer must continue the chain in the
+    // successor the checkpoint names.
+    synced.clear();
+    MountAndExpectSynced(&env, &cut_at_checkpoint, synced, [&](Lfs* fs) {
+      EXPECT_EQ(fs->recovery_stats().chunks, 0u);
+      commit(fs, "/restarted");
+      cut_after_commits.CopyContentsFrom(cut_at_checkpoint);
+    });
+    MountAndExpectSynced(&env, &cut_after_commits, synced, [](Lfs*) {});
+  });
+  env.Run();
+  EXPECT_EQ(synced.size(), 4u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BackendsAndGaps, SegmentEndCheckpoint,
+    ::testing::Combine(::testing::Values(SimBackend::kThreads,
+                                         SimBackend::kFibers),
+                       ::testing::Values(1u, 0u)),
+    [](const auto& info) {
+      return std::string(SimBackendName(std::get<0>(info.param))) + "_gap" +
+             std::to_string(std::get<1>(info.param));
+    });
 
 }  // namespace
 }  // namespace lfstx

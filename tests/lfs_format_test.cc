@@ -237,6 +237,7 @@ TEST(CheckpointTest, EncodeDecodeRoundTrip) {
   cp.cur_offset = 55;
   cp.cur_generation = 2;
   cp.next_write_seq = 1234;
+  cp.next_segment = 7;
   cp.imap_addrs = {0, 100, 200};
   SegmentUsage usage(16);
   usage.Activate(3);
@@ -252,8 +253,17 @@ TEST(CheckpointTest, EncodeDecodeRoundTrip) {
   EXPECT_EQ(r.value().cur_segment, 3u);
   EXPECT_EQ(r.value().cur_offset, 55u);
   EXPECT_EQ(r.value().next_write_seq, 1234u);
+  EXPECT_EQ(r.value().next_segment, 7u);
   EXPECT_EQ(r.value().imap_addrs, (std::vector<BlockAddr>{0, 100, 200}));
   EXPECT_EQ(r.value().usage_bytes, cp.usage_bytes);
+
+  // "No successor named" survives the round trip too, and is the default.
+  CheckpointData none;
+  EXPECT_EQ(none.next_segment, CheckpointData::kNoSegment);
+  none.Encode(buf.data(), nblocks);
+  auto rn = CheckpointData::Decode(buf.data(), nblocks);
+  ASSERT_TRUE(rn.ok()) << rn.status().ToString();
+  EXPECT_EQ(rn.value().next_segment, CheckpointData::kNoSegment);
 }
 
 TEST(CheckpointTest, CorruptionDetected) {

@@ -2,9 +2,8 @@
 // platter. Mounting the same crashed disk image must produce a
 // byte-identical recovered platter, identical recovery.* metrics
 // (including virtual-time costs), and an identical online-fsck report —
-// across the fibers and threads execution backends, across repeated runs,
-// and across sequential vs. partitioned replay (the partition merge rule
-// is deterministic: per-imap-block FIFO order equals log order).
+// across the fibers and threads execution backends and across repeated
+// runs, for every seeded image.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -67,8 +66,8 @@ void HashBytes(uint64_t* h, const char* p, size_t n) {
 /// Digest of the logical namespace: every path, its type/size, and its
 /// contents, walked in directory order. Must run inside a simulated
 /// process. Unlike the platter digest this is invariant under recovery
-/// *timing* (checkpoint timestamps, segment write times), so it is the
-/// right equality for sequential-vs-partitioned replay.
+/// *timing* (checkpoint timestamps, segment write times), so a mismatch
+/// here points at recovered state rather than at a clock difference.
 void LogicalDigest(FileSystem* fs, const std::string& dir, uint64_t* h) {
   std::vector<DirEntry> entries;
   ASSERT_TRUE(fs->ReadDir(dir, &entries).ok()) << dir;
@@ -122,8 +121,7 @@ struct Fingerprint {
 
 /// Mount a copy of `base` (running restart recovery), audit every fsck
 /// slice once, sweep the invariant checkers, and fingerprint the result.
-Fingerprint RecoverOnce(const SimDisk& base, SimBackend backend,
-                        uint32_t partitions) {
+Fingerprint RecoverOnce(const SimDisk& base, SimBackend backend) {
   Machine::Options mo;
   mo.sim_backend = backend;
   mo.format = false;
@@ -131,7 +129,6 @@ Fingerprint RecoverOnce(const SimDisk& base, SimBackend backend,
   mo.start_cleaner = false;  // recovered state, no daemon writes
   mo.start_fsck = true;
   mo.fsck.interval = 3600 * kSecond;  // audits driven explicitly below
-  mo.lfs.recovery_partitions = partitions;
   auto m = Machine::Build(mo);
   m->disk->CopyContentsFrom(base);
   Fingerprint fp;
@@ -154,18 +151,18 @@ Fingerprint RecoverOnce(const SimDisk& base, SimBackend backend,
   return fp;
 }
 
-TEST(RecoveryDeterminism, IdenticalAcrossBackendsRunsAndPartitioning) {
+TEST(RecoveryDeterminism, IdenticalAcrossBackendsAndRuns) {
   SimEnv base_env;
   SimDisk base(&base_env, SimDisk::Options{});
   BuildCrashedImage(&base, /*seed=*/4242);
 
-  Fingerprint fibers = RecoverOnce(base, SimBackend::kFibers, 4);
+  Fingerprint fibers = RecoverOnce(base, SimBackend::kFibers);
   ASSERT_TRUE(fibers.checks_clean);
   EXPECT_NE(fibers.metrics.find("recovery.total_us"), std::string::npos)
       << "recovery metrics missing:\n" << fibers.metrics;
 
   // Repeated run, same backend: bit-for-bit identical.
-  Fingerprint again = RecoverOnce(base, SimBackend::kFibers, 4);
+  Fingerprint again = RecoverOnce(base, SimBackend::kFibers);
   EXPECT_TRUE(fibers == again)
       << "repeat run diverged:\n--- first\n" << fibers.metrics
       << "--- second\n" << again.metrics;
@@ -173,33 +170,24 @@ TEST(RecoveryDeterminism, IdenticalAcrossBackendsRunsAndPartitioning) {
   // Threads backend: the execution backend must not change simulation
   // results (SIMULATOR.md contract) — recovered platter, virtual-time
   // recovery costs, and the fsck report all included.
-  Fingerprint threads = RecoverOnce(base, SimBackend::kThreads, 4);
+  Fingerprint threads = RecoverOnce(base, SimBackend::kThreads);
   EXPECT_TRUE(fibers == threads)
       << "fibers vs threads diverged:\n--- fibers\n" << fibers.metrics
       << "--- threads\n" << threads.metrics;
-
-  // Sequential replay: the partitioned pipeline's merge order is log
-  // order per imap block, so the recovered logical state is identical;
-  // the raw platter and timing metrics legitimately differ (recovery
-  // finishes at a different virtual time, and the end-of-recovery
-  // checkpoint stamps it — that difference IS the measured speedup).
-  Fingerprint seq = RecoverOnce(base, SimBackend::kFibers, 1);
-  EXPECT_EQ(fibers.logical, seq.logical)
-      << "partitioned replay recovered different state than sequential";
-  EXPECT_TRUE(seq.checks_clean);
 }
 
 class RecoveryDeterminismSeeds : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(RecoveryDeterminismSeeds, PartitionedEqualsSequential) {
+TEST_P(RecoveryDeterminismSeeds, RecoveringTwiceIsIdentical) {
   SimEnv base_env;
   SimDisk base(&base_env, SimDisk::Options{});
   BuildCrashedImage(&base, GetParam());
-  Fingerprint part = RecoverOnce(base, SimBackend::kFibers, 4);
-  Fingerprint seq = RecoverOnce(base, SimBackend::kFibers, 1);
-  EXPECT_TRUE(part.checks_clean);
-  EXPECT_TRUE(seq.checks_clean);
-  EXPECT_EQ(part.logical, seq.logical);
+  Fingerprint first = RecoverOnce(base, SimBackend::kFibers);
+  Fingerprint second = RecoverOnce(base, SimBackend::kFibers);
+  EXPECT_TRUE(first.checks_clean);
+  EXPECT_TRUE(first == second)
+      << "recovering the same image twice diverged:\n--- first\n"
+      << first.metrics << "--- second\n" << second.metrics;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RecoveryDeterminismSeeds,
