@@ -41,7 +41,7 @@
 //                    the LFSTX_SIM_BACKEND environment variable.
 //   --summary=F      (fig4_tps, fig_tail) write a machine-readable JSON
 //                    summary — TPS + profile breakdown per architecture —
-//                    to F; consumed by tools/bench_summary.py
+//                    to F; consumed by tools/report.py
 //   --arrival=KIND   (fig_tail) open-loop arrival process: "poisson"
 //                    (default), "bursty", or "diurnal" (see
 //                    src/harness/arrivals.h)
@@ -51,7 +51,7 @@
 //                    are shed and counted (default 64)
 //   --exemplars=K    (fig_tail) keep the K slowest committed transactions
 //                    per load point, with full phase breakdowns, for
-//                    tools/tail_report.py p99 attribution (default 8)
+//                    `tools/report.py tail` p99 attribution (default 8)
 //   --fullness=L     (fig_cleaning) comma-separated disk-fullness sweep in
 //                    percent of log capacity filled with live data before
 //                    the churn phase (default "55,70,85")

@@ -23,8 +23,8 @@
 // motivation for measuring transaction throughput *with the cleaner on*.
 //
 // --summary=F writes machine-readable JSON consumed by
-// tools/bench_summary.py --mode cleaning (which regenerates
-// BENCH_cleaning.json) and by tools/cleaning_report.py.
+// `tools/report.py baseline cleaning` (which regenerates
+// BENCH_cleaning.json) and by `tools/report.py cleaning`.
 #include "bench_common.h"
 
 #include "sim/log_econ.h"

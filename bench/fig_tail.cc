@@ -16,9 +16,9 @@
 // percentile curves (p50/p90/p95/p99/p99.9/max) for sojourn, queue wait
 // and service time, queue-depth extremes, and the K slowest committed
 // transactions with their exact profiler phase breakdowns. Feed it — plus
-// a `--trace=prof,blame --trace-file=F` trace — to tools/tail_report.py
+// a `--trace=prof,blame --trace-file=F` trace — to `tools/report.py tail`
 // for per-exemplar "why is p99 slow" attribution, and to
-// tools/bench_summary.py --mode tail for the committed BENCH_tail.json
+// `tools/report.py baseline tail` for the committed BENCH_tail.json
 // baseline.
 #include "bench_common.h"
 #include "harness/open_loop.h"

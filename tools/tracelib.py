@@ -1,4 +1,4 @@
-"""Shared helpers for reading lfstx trace files (JSONL).
+"""Trace-file format shared by tools/report.py.
 
 A trace file written with `--trace-file` holds one JSON object per line
 (see OBSERVABILITY.md for the event schemas). A bench process that builds
@@ -6,11 +6,13 @@ several simulated machines in sequence shares one file; each machine's
 events carry a distinct "m" tag. Traces written by a single machine have
 no "m" field; those group under machine 0.
 
-Used by profile_report.py, blame_report.py, and bench_summary.py so the
-phase list and the exact-sum validation live in exactly one place.
+The phase list, the byte-provenance categories, the one trace loader and
+the exact phase-partition check live here, so the profile, blame and tail
+reports and the committed baselines all read them from one place.
 """
 import json
 import sys
+from collections import defaultdict
 
 # Must match kPhaseNames in src/sim/profiler.cc.
 PHASES = [
@@ -21,6 +23,19 @@ PHASES = [
     "lock_wait",
     "log_wait",
     "cleaner_stall",
+]
+
+# Byte-provenance categories; must match LogByteCatName in
+# src/sim/log_econ.h (and the logecon.bytes.* metric names).
+LOGECON_CATS = [
+    "user_data",
+    "wal",
+    "inode",
+    "imap",
+    "summary",
+    "checkpoint",
+    "cleaner",
+    "ffs",
 ]
 
 
@@ -43,107 +58,58 @@ def read_events(path):
             yield lineno, ev
 
 
-def validate_span(ev, where):
-    """Dies unless the span's phases sum exactly to its elapsed time.
+def phase_error(phases, total, name="elapsed_us"):
+    """A message unless the profiler phases sum exactly to `total`.
 
     The virtual-clock profiler partitions each transaction span into
     phases with no gaps and no overlap, so the sum is exact by
     construction (integer microseconds, no epsilon). A mismatch is a
-    profiler bug, never measurement noise.
+    profiler bug, never measurement noise. `phases` is a span event, a
+    tail exemplar's `phases` object or a summary's windowed phase totals.
     """
-    phase_sum = sum(ev.get(p, 0) for p in PHASES)
-    if phase_sum != ev["elapsed_us"]:
-        sys.exit(
-            f"{where}: phases sum to {phase_sum} "
-            f"but elapsed_us is {ev['elapsed_us']} — profiler bug"
-        )
+    phase_sum = sum(phases.get(p, 0) for p in PHASES)
+    if phase_sum != total:
+        return f"phases sum to {phase_sum} but {name} is {total} — profiler bug"
+    return None
 
 
-def load_spans(path):
-    """Returns {(machine, mgr): [event, ...]} for txn_profile events.
+def load(path):
+    """Returns ({machine: [txn_profile]}, {machine: [wait_edge]}).
 
-    Every span is validated with validate_span before it is returned.
+    Dies on a span whose phases do not partition its elapsed time.
     """
-    groups = {}
+    spans = defaultdict(list)
+    edges = defaultdict(list)
     for lineno, ev in read_events(path):
-        if ev.get("ev") != "txn_profile":
-            continue
-        validate_span(ev, f"{path}:{lineno}")
-        key = (machine_of(ev), ev["mgr"])
-        groups.setdefault(key, []).append(ev)
-    return groups
+        if ev.get("ev") == "txn_profile":
+            err = phase_error(ev, ev["elapsed_us"])
+            if err:
+                sys.exit(f"{path}:{lineno}: {err}")
+            spans[machine_of(ev)].append(ev)
+        elif ev.get("ev") == "wait_edge":
+            edges[machine_of(ev)].append(ev)
+    return spans, edges
 
 
-# Byte-provenance categories; must match LogByteCatName in
-# src/sim/log_econ.h (and the logecon.bytes.* metric names).
-LOGECON_CATS = [
-    "user_data",
-    "wal",
-    "inode",
-    "imap",
-    "summary",
-    "checkpoint",
-    "cleaner",
-    "ffs",
-]
+def block_totals(events):
+    """{machine: [charged, written]} blocks over a trace's events.
 
-
-def provenance_totals(events):
-    """{machine: {category: blocks}} summed over logecon `bytes` events.
-
-    `events` is an iterable of (lineno, event) pairs as produced by
-    read_events. Every machine present gets all categories (zero-filled).
+    `charged` sums the logecon `bytes` events of every category;
+    `written` sums the disk `io_submit` write events. io_submit (not
+    io_begin) is the submit-time twin of the disk's blocks_written
+    counter, which LogEcon charges against: a write still queued when the
+    simulation stops is counted and charged but never reaches service, so
+    io_begin would under-count it. Both sides skip RawWrite (untimed mkfs
+    I/O), so on a healthy trace the two agree block for block.
     """
-    totals = {}
-    for _, ev in events:
-        if ev.get("cat") != "logecon" or ev.get("ev") != "bytes":
-            continue
-        per = totals.setdefault(machine_of(ev), dict.fromkeys(LOGECON_CATS, 0))
-        per[ev["category"]] += ev["blocks"]
+    totals = defaultdict(lambda: [0, 0])
+    for ev in events:
+        if ev.get("cat") == "logecon" and ev.get("ev") == "bytes":
+            totals[machine_of(ev)][0] += ev["blocks"]
+        elif (ev.get("cat") == "disk" and ev.get("ev") == "io_submit"
+              and ev.get("op") == "write"):
+            totals[machine_of(ev)][1] += ev["nblocks"]
     return totals
-
-
-def disk_write_blocks(events):
-    """{machine: blocks} summed over disk io_submit write events.
-
-    io_submit (not io_begin) is the submit-time twin of the disk's
-    blocks_written counter, which LogEcon charges against: a write still
-    queued when the simulation stops is counted and charged but never
-    reaches service, so io_begin would under-count it.
-    """
-    totals = {}
-    for _, ev in events:
-        if ev.get("cat") != "disk" or ev.get("ev") != "io_submit":
-            continue
-        if ev.get("op") != "write":
-            continue
-        m = machine_of(ev)
-        totals[m] = totals.get(m, 0) + ev["nblocks"]
-    return totals
-
-
-def validate_logecon(events, where="trace"):
-    """Dies unless logecon charges partition disk write blocks exactly.
-
-    The byte-provenance invariant (OBSERVABILITY.md, "Log economics"):
-    per machine, the sum of all logecon `bytes` events equals the sum of
-    all disk `io_submit` write events, block for block. Both sides skip
-    RawWrite (untimed mkfs I/O), so the identity is exact, not
-    approximate. Returns (provenance_totals, disk_totals).
-    """
-    events = list(events)
-    prov = provenance_totals(iter(events))
-    disk = disk_write_blocks(iter(events))
-    machines = sorted(set(prov) | set(disk))
-    for m in machines:
-        charged = sum(prov.get(m, {}).values())
-        written = disk.get(m, 0)
-        if charged != written:
-            sys.exit(
-                f"{where}: machine {m}: logecon charges {charged} blocks "
-                f"but the disk wrote {written} — provenance partition broken"
-            )
-    return prov, disk
 
 
 def print_table(rows, indent="  ", out=sys.stdout):
