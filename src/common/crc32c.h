@@ -1,6 +1,6 @@
 // CRC32C (Castagnoli) used for segment summaries, checkpoints, and log
-// records. Software table implementation; speed is irrelevant under the
-// virtual clock.
+// records. Uses the SSE4.2 crc32 instruction when the CPU has it, else a
+// byte-at-a-time table; both give the same bits.
 #ifndef LFSTX_COMMON_CRC32C_H_
 #define LFSTX_COMMON_CRC32C_H_
 
@@ -11,6 +11,12 @@ namespace lfstx::crc32c {
 
 /// Extend an existing CRC with `n` more bytes. Seed a fresh CRC with 0.
 uint32_t Extend(uint32_t init_crc, const char* data, size_t n);
+
+/// The two kernels Extend chooses between, exposed for differential tests.
+/// Call ExtendSse42 only when HasSse42() is true.
+uint32_t ExtendPortable(uint32_t init_crc, const char* data, size_t n);
+uint32_t ExtendSse42(uint32_t init_crc, const char* data, size_t n);
+bool HasSse42();
 
 /// CRC of a standalone buffer.
 inline uint32_t Value(const char* data, size_t n) { return Extend(0, data, n); }

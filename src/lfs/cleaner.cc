@@ -62,6 +62,9 @@ Cleaner::~Cleaner() {
 }
 
 void Cleaner::Loop() {
+  // Daemon tick before boot finishes: roll-forward has not yet reached the
+  // log head, so a pass would write over log it still has to replay.
+  if (!lfs_->is_mounted()) return;
   // Passes allowed past the engagement's best clean-segment count before
   // it yields. High enough to span the ~seg_blocks/net-yield passes one
   // net segment takes at high utilization; low enough that an equilibrium

@@ -175,7 +175,10 @@ Status Lfs::Unmount() {
   return Status::OK();
 }
 
-Status Lfs::SyncAll() { return Flush(kNoTxn); }
+Status Lfs::SyncAll() {
+  if (!mounted_) return Status::OK();  // daemon tick before boot finishes
+  return Flush(kNoTxn);
+}
 
 Status Lfs::SyncFile(InodeNum inum) {
   (void)inum;  // LFS always writes whole segments

@@ -152,6 +152,64 @@ Status LibTp::Abort(TxnId txn) {
   return Status::OK();
 }
 
+// ------------------------------------------------------------ page diff --
+
+namespace {
+
+bool WordsEqual(const char* a, const char* b) {
+  uint64_t x, y;
+  memcpy(&x, a, sizeof(x));
+  memcpy(&y, b, sizeof(y));
+  return x == y;
+}
+
+}  // namespace
+
+// Whole 8-byte words are compared wherever a word lies entirely inside the
+// range being scanned, and bytes elsewhere; the result is the byte-wise
+// scan's, word for word.
+int DiffPage(const char* before, const char* after, PageRange ranges[2]) {
+  constexpr uint32_t kWord = 8;
+  static_assert(sizeof(Lsn) % kWord == 0 && kBlockSize % kWord == 0);
+  uint32_t lo = sizeof(Lsn), hi = kBlockSize;
+  while (lo < kBlockSize && WordsEqual(before + lo, after + lo)) lo += kWord;
+  while (lo < kBlockSize && before[lo] == after[lo]) lo++;
+  while (hi >= lo + kWord &&
+         WordsEqual(before + hi - kWord, after + hi - kWord)) {
+    hi -= kWord;
+  }
+  while (hi > lo && before[hi - 1] == after[hi - 1]) hi--;
+  if (lo >= hi) return 0;
+  // Largest interior run of unchanged bytes; a later run must be strictly
+  // longer to win. Runs start and end on changed bytes, so each is found
+  // by stepping to 8-byte alignment, then by words, then by bytes.
+  uint32_t best_start = hi, best_len = 0;
+  for (uint32_t i = lo; i < hi;) {
+    if (before[i] != after[i]) {
+      i++;
+      continue;
+    }
+    uint32_t start = i;
+    while (i < hi && i % kWord != 0 && before[i] == after[i]) i++;
+    if (i % kWord == 0) {
+      while (i + kWord <= hi && WordsEqual(before + i, after + i)) i += kWord;
+    }
+    while (i < hi && before[i] == after[i]) i++;
+    if (i - start > best_len) {
+      best_len = i - start;
+      best_start = start;
+    }
+  }
+  constexpr uint32_t kMinGap = 128;  // below this, one record is cheaper
+  if (best_len < kMinGap) {
+    ranges[0] = {lo, hi};
+    return 1;
+  }
+  ranges[0] = {lo, best_start};
+  ranges[1] = {best_start + best_len, hi};
+  return 2;
+}
+
 // ------------------------------------------------------------ page access --
 
 Result<DbPage*> LibTp::GetPage(TxnId txn, uint32_t file_ref, uint64_t pageno,
@@ -174,71 +232,37 @@ Status LibTp::PutPageDirty(TxnId txn, DbPage* page) {
   if (page->snapshot == nullptr) {
     return Status::Internal("dirty release without write intent");
   }
-  // Diff the page against its pre-image; only the changed bytes are
-  // logged ("only the updated bytes need be written", section 4.3). The
-  // LSN field itself (first 8 bytes) is excluded. Slotted pages mutate at
-  // both ends (slot directory up front, cells packed from the back), so
-  // the [first-change, last-change) span is split at its largest unchanged
-  // gap when that saves real log space.
   const char* before = page->snapshot->data();
   const char* after = page->data;
-  uint32_t lo = sizeof(Lsn), hi = kBlockSize;
-  while (lo < kBlockSize && before[lo] == after[lo]) lo++;
-  while (hi > lo && before[hi - 1] == after[hi - 1]) hi--;
-  if (lo < hi) {
-    // Largest interior run of unchanged bytes.
-    uint32_t best_start = hi, best_len = 0, run_start = 0, run_len = 0;
-    for (uint32_t i = lo; i < hi; i++) {
-      if (before[i] == after[i]) {
-        if (run_len == 0) run_start = i;
-        if (++run_len > best_len) {
-          best_len = run_len;
-          best_start = run_start;
-        }
-      } else {
-        run_len = 0;
-      }
+  PageRange ranges[2] = {};
+  int nranges = DiffPage(before, after, ranges);
+  for (int r = 0; r < nranges; r++) {
+    LogRecord rec;
+    rec.type = LogRecType::kUpdate;
+    rec.txn = txn;
+    rec.prev_lsn = it->second.last_lsn;
+    rec.file_ref = page->file_ref;
+    rec.page = page->pageno;
+    rec.offset = ranges[r].lo;
+    rec.before.assign(before + ranges[r].lo, ranges[r].hi - ranges[r].lo);
+    rec.after.assign(after + ranges[r].lo, ranges[r].hi - ranges[r].lo);
+    env->LatchOp();
+    // Claim first_lsn *before* the append (no yield between here and
+    // the record entering the log tail): a fuzzy checkpoint that runs
+    // while Append is parked in its CPU charge must already see this
+    // transaction in the low-water-mark min, or redo could start past
+    // an update whose page flush the checkpoint missed.
+    if (it->second.first_lsn == kNullLsn) {
+      it->second.first_lsn = log_.next_lsn();
     }
-    struct Range {
-      uint32_t lo, hi;
-    } ranges[2];
-    int nranges = 1;
-    constexpr uint32_t kMinGap = 128;  // below this, one record is cheaper
-    if (best_len >= kMinGap) {
-      ranges[0] = {lo, best_start};
-      ranges[1] = {best_start + best_len, hi};
-      nranges = 2;
-    } else {
-      ranges[0] = {lo, hi};
-    }
-    for (int r = 0; r < nranges; r++) {
-      LogRecord rec;
-      rec.type = LogRecType::kUpdate;
-      rec.txn = txn;
-      rec.prev_lsn = it->second.last_lsn;
-      rec.file_ref = page->file_ref;
-      rec.page = page->pageno;
-      rec.offset = ranges[r].lo;
-      rec.before.assign(before + ranges[r].lo, ranges[r].hi - ranges[r].lo);
-      rec.after.assign(after + ranges[r].lo, ranges[r].hi - ranges[r].lo);
-      env->LatchOp();
-      // Claim first_lsn *before* the append (no yield between here and
-      // the record entering the log tail): a fuzzy checkpoint that runs
-      // while Append is parked in its CPU charge must already see this
-      // transaction in the low-water-mark min, or redo could start past
-      // an update whose page flush the checkpoint missed.
-      if (it->second.first_lsn == kNullLsn) {
-        it->second.first_lsn = log_.next_lsn();
-      }
-      LFSTX_ASSIGN_OR_RETURN(Lsn lsn, log_.Append(rec));
-      env->LatchOp();
-      it->second.last_lsn = lsn;
-      page->set_lsn(lsn + 1);  // stored LSN is rec+1 so 0 means "never"
-      stats_.update_records++;
-    }
-    // Refresh the snapshot for subsequent updates under the same pin.
-    page->snapshot->assign(page->data, kBlockSize);
+    LFSTX_ASSIGN_OR_RETURN(Lsn lsn, log_.Append(rec));
+    env->LatchOp();
+    it->second.last_lsn = lsn;
+    page->set_lsn(lsn + 1);  // stored LSN is rec+1 so 0 means "never"
+    stats_.update_records++;
   }
+  // Refresh the snapshot for subsequent updates under the same pin.
+  if (nranges > 0) page->snapshot->assign(page->data, kBlockSize);
   pool_.ReleaseDirty(page);
   return Status::OK();
 }

@@ -16,6 +16,21 @@
 
 namespace lfstx {
 
+/// A byte range [lo, hi) of a page.
+struct PageRange {
+  uint32_t lo, hi;
+};
+
+/// The bytes of a kBlockSize page that differ between `before` and `after`,
+/// excluding the LSN field (the first 8 bytes): only these are logged
+/// ("only the updated bytes need be written", section 4.3). Slotted pages
+/// mutate at both ends (slot directory up front, cells packed from the
+/// back), so the [first-change, last-change) span is split at its largest
+/// unchanged gap -- the first such gap on ties -- when the gap is at least
+/// 128 bytes; below that one record is cheaper. Writes 0, 1 or 2 ranges to
+/// `ranges` and returns how many.
+int DiffPage(const char* before, const char* after, PageRange ranges[2]);
+
 /// \brief The LIBTP library instance.
 class LibTp {
  public:

@@ -2,21 +2,24 @@
 // at random points. Invariant: after remount (roll-forward + torn-write
 // discard), every file state that was covered by a completed SyncAll is
 // intact, and the file system is internally consistent (all reads succeed,
-// usage table rebuilds, a fresh workload runs). A directed test pins the
+// usage table rebuilds, a fresh workload runs). Directed tests pin the
 // checkpoint-at-a-segment-end case, where the chain continues in a
-// successor segment that is not the next one in address order.
+// successor segment that is not the next one in address order, and daemon
+// ticks that land while roll-forward is still replaying the log.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdlib>
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "check/registry.h"
 #include "common/random.h"
+#include "ffs/syncer.h"
 #include "lfs/cleaner.h"
 #include "lfs/lfs.h"
 
@@ -385,6 +388,91 @@ INSTANTIATE_TEST_SUITE_P(
     [](const auto& info) {
       return std::string(SimBackendName(std::get<0>(info.param))) + "_gap" +
              std::to_string(std::get<1>(info.param));
+    });
+
+// A restarted machine spawns its daemons (Machine::Build) before Boot
+// mounts the file system. Until roll-forward finishes, the log head is the
+// checkpoint's, so a daemon that writes to the log then lands on chunks
+// recovery has not replayed yet. Here the log since the checkpoint is long
+// enough that roll-forward outlasts many polls, and the cleaner's
+// watermark keeps it engaged whenever it looks; every synced file must
+// survive and the sweep must be clean. Parameters: the execution backend
+// and the daemon (cleaner or syncer).
+class DaemonDuringRollForward
+    : public ::testing::TestWithParam<std::tuple<SimBackend, bool>> {};
+
+TEST_P(DaemonDuringRollForward, SyncedFilesSurvive) {
+  const auto [backend, cleaner_daemon] = GetParam();
+  constexpr SimTime kPoll = 5 * kMillisecond;
+  SimEnv env(CostModel(), backend);
+  SimDisk disk(&env, SimDisk::Options{});
+  SimDisk platter(&env, SimDisk::Options{});
+  Random rng(7);
+  std::map<std::string, std::string> synced;
+
+  env.Spawn("main", [&] {
+    {
+      BufferCache cache(&env, 1024);
+      Lfs::Options lo;
+      lo.checkpoint_every_segments = 1000000;  // replay all from the format
+      Lfs fs(&env, &disk, &cache, lo);
+      cache.set_writeback(&fs);
+      ASSERT_TRUE(fs.Format().ok());
+      // Overwrite churn: a long chain of chunks, and dead blocks in every
+      // segment it fills, so the cleaner finds victims mid-replay.
+      for (int i = 0; i < 64; i++) {
+        std::string path = "/f" + std::to_string(i % 8);
+        std::string contents = rng.Bytes((4 + rng.Uniform(12)) * kBlockSize);
+        auto r = fs.Open(path);
+        if (!r.ok()) r = fs.Create(path);
+        ASSERT_TRUE(r.ok()) << path;
+        ASSERT_TRUE(fs.Truncate(r.value(), 0).ok());
+        ASSERT_TRUE(fs.Write(r.value(), 0, contents).ok());
+        ASSERT_TRUE(fs.Close(r.value()).ok());
+        ASSERT_TRUE(fs.SyncAll().ok());
+        synced[path] = contents;
+      }
+      platter.CopyContentsFrom(disk);  // the power cut
+    }
+    BufferCache cache(&env, 1024);
+    Lfs fs(&env, &platter, &cache);
+    cache.set_writeback(&fs);
+    std::unique_ptr<Cleaner> cleaner;
+    std::unique_ptr<Syncer> syncer;
+    if (cleaner_daemon) {
+      Cleaner::Options copt;
+      copt.low_water = copt.high_water = 1u << 20;  // always engaged
+      copt.poll_interval = kPoll;
+      cleaner = std::make_unique<Cleaner>(&env, &fs, copt);
+    } else {
+      syncer = std::make_unique<Syncer>(&env, &fs, kPoll);
+    }
+    ASSERT_TRUE(fs.Mount().ok());
+    ASSERT_GT(fs.recovery_stats().total_us, 4 * kPoll)
+        << "roll-forward must outlast several daemon polls";
+    ExpectChecksClean(&env, &cache, &fs, 0);
+    for (const auto& [path, contents] : synced) {
+      auto r = fs.Open(path);
+      ASSERT_TRUE(r.ok()) << path << " lost across the restart";
+      std::vector<char> buf(contents.size() + 16);
+      auto n = fs.Read(r.value(), 0, buf.size(), buf.data());
+      ASSERT_TRUE(n.ok());
+      EXPECT_EQ(std::string(buf.data(), n.value()), contents) << path;
+      ASSERT_TRUE(fs.Close(r.value()).ok());
+    }
+  });
+  env.Run();
+  EXPECT_EQ(synced.size(), 8u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BackendsAndDaemons, DaemonDuringRollForward,
+    ::testing::Combine(::testing::Values(SimBackend::kThreads,
+                                         SimBackend::kFibers),
+                       ::testing::Bool()),
+    [](const auto& info) {
+      return std::string(SimBackendName(std::get<0>(info.param))) +
+             (std::get<1>(info.param) ? "_cleaner" : "_syncer");
     });
 
 }  // namespace
