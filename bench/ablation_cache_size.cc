@@ -41,16 +41,18 @@ int main(int argc, char** argv) {
         error = w.status().ToString();
         return;
       }
-      uint64_t reads0 = rig->machine->disk->stats().reads;
+      MetricsRegistry* metrics = rig->env()->metrics();
+      const std::map<std::string, double> sample0 = metrics->SampleNumeric();
       auto r = driver.Run(txns);
       if (!r.ok()) {
         error = r.status().ToString();
         return;
       }
       tps = r.value().tps();
-      reads_per_txn = static_cast<double>(rig->machine->disk->stats().reads -
-                                          reads0) /
-                      static_cast<double>(txns);
+      reads_per_txn =
+          MetricValue(MetricDelta(metrics->SampleNumeric(), sample0),
+                      "disk.reads") /
+          static_cast<double>(txns);
       metrics_json = rig->MetricsJson();
     });
     if (!s.ok() && error.empty()) error = s.ToString();

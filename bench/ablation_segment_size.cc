@@ -33,16 +33,18 @@ int main(int argc, char** argv) {
         return;
       }
       TpcbDriver driver(rig->backend.get(), &db.value(), tpcb, 43);
-      uint64_t p0 = rig->machine->lfs()->lfs_stats().partial_segments;
-      uint64_t b0 = rig->machine->lfs()->lfs_stats().blocks_written;
+      MetricsRegistry* metrics = rig->env()->metrics();
+      const std::map<std::string, double> sample0 = metrics->SampleNumeric();
       auto r = driver.Run(txns);
       if (!r.ok()) {
         error = r.status().ToString();
         return;
       }
       tps = r.value().tps();
-      partials = rig->machine->lfs()->lfs_stats().partial_segments - p0;
-      blocks = rig->machine->lfs()->lfs_stats().blocks_written - b0;
+      const std::map<std::string, double> window =
+          MetricDelta(metrics->SampleNumeric(), sample0);
+      partials = MetricCount(window, "lfs.partial_segments");
+      blocks = MetricCount(window, "lfs.blocks_written");
       if (rig->machine->cleaner != nullptr) {
         cleaned = rig->machine->cleaner->stats().segments_cleaned;
       }

@@ -26,9 +26,6 @@
 //                    the locks, whose I/O was ahead in the disk queue,
 //                    which commit led the group flush) — and include a
 //                    "blame" object per configuration in --summary output
-//   --sample-interval=MS  start the virtual-time metrics sampler: emit a
-//                    metric_sample trace event for every metric that
-//                    changed, every MS simulated milliseconds
 //   --cleaner=MODE   cleaner placement: "kernel" (default; locks files
 //                    while cleaning) or "user" (section 5.4: interferes
 //                    only through the disk arm, so contention shows up as
@@ -87,7 +84,6 @@ struct BenchConfig {
   uint64_t txns = 0;  // 0 = bench default
   int64_t readahead = -1;  // -1 = machine default window
   uint64_t users = 1;
-  uint64_t sample_interval_ms = 0;
   bool fsck = false;
   bool profile = false;
   bool blame = false;
@@ -116,8 +112,6 @@ struct BenchConfig {
         c.readahead = strtoll(argv[i] + 12, nullptr, 10);
       } else if (strncmp(argv[i], "--users=", 8) == 0) {
         c.users = std::max<uint64_t>(1, strtoull(argv[i] + 8, nullptr, 10));
-      } else if (strncmp(argv[i], "--sample-interval=", 18) == 0) {
-        c.sample_interval_ms = strtoull(argv[i] + 18, nullptr, 10);
       } else if (strncmp(argv[i], "--cleaner=", 10) == 0) {
         c.cleaner_mode = argv[i] + 10;
         if (c.cleaner_mode != "kernel" && c.cleaner_mode != "user") {
@@ -195,7 +189,6 @@ struct BenchConfig {
         static_cast<uint32_t>(std::max<uint64_t>(96, 1280 / scale));
     o.trace_categories = trace;
     o.trace_path = trace_file;
-    o.sample_interval = sample_interval_ms * kMillisecond;
     if (cleaner_mode == "user") {
       o.cleaner.mode = Cleaner::Mode::kUserSpace;
     } else if (cleaner_mode == "kernel") {
@@ -263,72 +256,45 @@ struct TpcbMeasurement {
   /// Metrics snapshot taken at the end of the measured run, while the
   /// simulated machine was still alive. See OBSERVABILITY.md.
   std::string metrics_json;
-  /// Profiler attribution over the *measured* window only (warmup
-  /// excluded): which manager tag the spans carried, the span aggregate,
-  /// disk time by cause, and the fraction of the measured window covered
-  /// by transaction spans (Σ span elapsed / window; ≤ 1 at MPL 1).
+  /// Every registry metric over the *measured* window only (warmup
+  /// excluded): MetricDelta of the samples taken after warm-up and at the
+  /// end. The profile, disk-by-cause and blame views all read this.
+  std::map<std::string, double> window;
+  /// Manager tag the transaction spans carried, and the fraction of the
+  /// measured window covered by them (Σ span elapsed / window; ≤ 1 at
+  /// MPL 1).
   std::string prof_mgr;
-  Profiler::SpanAgg prof;
-  Profiler::DiskAgg disk_cause[kNumIoCauses];
   double coverage = 0;
   /// Concurrent terminals during the measured window.
   uint64_t users = 1;
-  /// blame.* histogram deltas over the measured window as a JSON object
-  /// ({"blame.lock.kernel.txn_us.count": N, ...}); empty without --blame.
-  std::string blame_json;
 };
 
-/// `after - before` for windowed span aggregates.
-inline Profiler::SpanAgg SpanAggDelta(const Profiler::SpanAgg& after,
-                                      const Profiler::SpanAgg& before) {
-  Profiler::SpanAgg d;
-  d.spans = after.spans - before.spans;
-  d.committed = after.committed - before.committed;
-  d.elapsed_us = after.elapsed_us - before.elapsed_us;
-  for (int i = 0; i < kNumPhases; i++) {
-    d.phase_us[i] = after.phase_us[i] - before.phase_us[i];
-  }
-  return d;
+/// `name`'s value in a SampleNumeric() map or a MetricDelta window; 0 when
+/// absent (a metric registered by no component recorded nothing).
+inline double MetricValue(const std::map<std::string, double>& m,
+                          const std::string& name) {
+  auto it = m.find(name);
+  return it != m.end() ? it->second : 0.0;
 }
 
-/// `after - before` for windowed per-cause disk aggregates.
-inline Profiler::DiskAgg DiskAggDelta(const Profiler::DiskAgg& after,
-                                      const Profiler::DiskAgg& before) {
-  Profiler::DiskAgg d;
-  d.requests = after.requests - before.requests;
-  d.wait_us = after.wait_us - before.wait_us;
-  d.service_us = after.service_us - before.service_us;
-  return d;
+/// MetricValue for counts and virtual-microsecond totals (exact: they stay
+/// far below 2^53).
+inline unsigned long long MetricCount(const std::map<std::string, double>& m,
+                                      const std::string& name) {
+  return static_cast<unsigned long long>(MetricValue(m, name));
 }
 
-/// All blame.* metrics (histogram `.count`/`.sum` pairs, in microseconds)
-/// currently in the registry. The registered set is fixed per architecture
-/// at machine build time, so windowed deltas are schema-stable.
-inline std::map<std::string, double> BlameSnapshot(MetricsRegistry* m) {
-  std::map<std::string, double> out;
-  for (const auto& kv : m->SampleNumeric()) {
-    if (kv.first.rfind("blame.", 0) == 0) out[kv.first] = kv.second;
-  }
-  return out;
+inline bool IsBlameMetric(const std::string& name) {
+  return name.rfind("blame.", 0) == 0;
 }
 
-/// `now - before` per blame metric; metrics absent from `before` count
-/// from zero (whole-run blame = delta against an empty baseline).
-inline std::map<std::string, double> BlameDelta(
-    MetricsRegistry* m, const std::map<std::string, double>& before) {
-  std::map<std::string, double> d;
-  for (const auto& kv : BlameSnapshot(m)) {
-    auto it = before.find(kv.first);
-    d[kv.first] = kv.second - (it != before.end() ? it->second : 0);
-  }
-  return d;
-}
-
-/// JSON object for a blame delta, keys sorted (std::map order).
-inline std::string BlameJson(const std::map<std::string, double>& delta) {
+/// JSON object of a window's blame.* entries (histogram `.count`/`.sum`
+/// pairs, in microseconds), keys sorted (std::map order).
+inline std::string BlameJson(const std::map<std::string, double>& window) {
   std::string out = "{";
   bool first = true;
-  for (const auto& kv : delta) {
+  for (const auto& kv : window) {
+    if (!IsBlameMetric(kv.first)) continue;
     out += Fmt("%s\"%s\": %.0f", first ? "" : ", ", kv.first.c_str(),
                kv.second);
     first = false;
@@ -341,19 +307,18 @@ inline std::string BlameJson(const std::map<std::string, double>& delta) {
 /// how much blocked time they carry. Registered-but-idle sources print as
 /// zero rows on purpose — "the cleaner caused no blame" is a result.
 inline void PrintBlameTable(const std::string& config,
-                            const std::map<std::string, double>& delta) {
+                            const std::map<std::string, double>& window) {
   printf("\n[blame] %s wait-edge attribution:\n", config.c_str());
   ResultTable t({"source", "edges", "total (us)"});
   bool any = false;
-  for (const auto& kv : delta) {
+  for (const auto& kv : window) {
     const std::string& name = kv.first;
-    if (name.size() < 4 || name.compare(name.size() - 4, 4, ".sum") != 0) {
+    if (!IsBlameMetric(name) || name.size() < 4 ||
+        name.compare(name.size() - 4, 4, ".sum") != 0) {
       continue;
     }
     std::string base = name.substr(0, name.size() - 4);
-    auto cnt = delta.find(base + ".count");
-    t.AddRow({base,
-              Fmt("%.0f", cnt != delta.end() ? cnt->second : 0),
+    t.AddRow({base, Fmt("%.0f", MetricValue(window, base + ".count")),
               Fmt("%.0f", kv.second)});
     any = true;
   }
@@ -364,61 +329,79 @@ inline void PrintBlameTable(const std::string& config,
   }
 }
 
+/// Registry names of one manager's span aggregate: the profiler's
+/// prof.<mgr>.* histograms carry the span count and the per-phase and
+/// elapsed totals; the manager's own txn.<mgr>.committed gauge the commits.
+inline std::string SpanMetric(const std::string& mgr, const char* leaf) {
+  return "prof." + mgr + "." + leaf;
+}
+inline std::string PhaseSumMetric(const std::string& mgr, int phase) {
+  return "prof." + mgr + "." + PhaseName(static_cast<Phase>(phase)) +
+         "_us.sum";
+}
+inline std::string DiskCauseMetric(int cause, const char* leaf) {
+  return std::string("prof.disk.") +
+         IoCauseName(static_cast<IoCause>(cause)) + "." + leaf;
+}
+
 /// Print the "where did the time go" attribution table for one manager's
-/// spans: per-phase totals, per-transaction averages, and each phase's
+/// spans in `window` (a MetricDelta window, or a whole-run SampleNumeric()
+/// map): per-phase totals, per-transaction averages, and each phase's
 /// share of transaction time (phases partition span time exactly, so the
 /// shares sum to 100%). `window_us` > 0 additionally prints a coverage
 /// line — the fraction of that window inside transaction spans — which CI
 /// asserts on.
 inline void PrintProfileTable(const std::string& config,
                               const std::string& mgr,
-                              const Profiler::SpanAgg& agg,
+                              const std::map<std::string, double>& window,
                               SimTime window_us) {
-  if (agg.spans == 0) {
+  unsigned long long spans =
+      MetricCount(window, SpanMetric(mgr, "elapsed_us.count"));
+  unsigned long long elapsed =
+      MetricCount(window, SpanMetric(mgr, "elapsed_us.sum"));
+  if (spans == 0) {
     printf("\n[profile] %s mgr=%s: no transaction spans recorded\n",
            config.c_str(), mgr.c_str());
     return;
   }
   printf("\n[profile] %s mgr=%s: %llu spans (%llu committed)\n",
-         config.c_str(), mgr.c_str(),
-         static_cast<unsigned long long>(agg.spans),
-         static_cast<unsigned long long>(agg.committed));
+         config.c_str(), mgr.c_str(), spans,
+         MetricCount(window, "txn." + mgr + ".committed"));
   ResultTable t({"phase", "total (us)", "per-txn (us)", "% of txn time"});
   for (int i = 0; i < kNumPhases; i++) {
-    t.AddRow({PhaseName(static_cast<Phase>(i)),
-              Fmt("%llu", static_cast<unsigned long long>(agg.phase_us[i])),
-              Fmt("%.1f", static_cast<double>(agg.phase_us[i]) /
-                              static_cast<double>(agg.spans)),
-              Fmt("%.1f", 100.0 * static_cast<double>(agg.phase_us[i]) /
-                              static_cast<double>(agg.elapsed_us))});
+    unsigned long long us = MetricCount(window, PhaseSumMetric(mgr, i));
+    t.AddRow({PhaseName(static_cast<Phase>(i)), Fmt("%llu", us),
+              Fmt("%.1f", static_cast<double>(us) /
+                              static_cast<double>(spans)),
+              Fmt("%.1f", 100.0 * static_cast<double>(us) /
+                              static_cast<double>(elapsed))});
   }
-  t.AddRow({"total", Fmt("%llu",
-                         static_cast<unsigned long long>(agg.elapsed_us)),
-            Fmt("%.1f", static_cast<double>(agg.elapsed_us) /
-                            static_cast<double>(agg.spans)),
+  t.AddRow({"total", Fmt("%llu", elapsed),
+            Fmt("%.1f", static_cast<double>(elapsed) /
+                            static_cast<double>(spans)),
             "100.0"});
   t.Print();
   if (window_us > 0) {
     printf("[profile] %s mgr=%s coverage: %.1f%% of the %llu us window "
            "attributed to transaction spans\n",
            config.c_str(), mgr.c_str(),
-           100.0 * static_cast<double>(agg.elapsed_us) /
+           100.0 * static_cast<double>(elapsed) /
                static_cast<double>(window_us),
            static_cast<unsigned long long>(window_us));
   }
 }
 
 /// One line of disk time by request cause (txn / cleaner / checkpoint /
-/// syncer); pairs with the attribution table under --profile.
+/// syncer) in `window`; pairs with the attribution table under --profile.
 inline void PrintDiskCauseLine(const std::string& config,
-                               const Profiler::DiskAgg cause[kNumIoCauses]) {
+                               const std::map<std::string, double>& window) {
   printf("[profile] %s disk by cause:", config.c_str());
   for (int i = 0; i < kNumIoCauses; i++) {
     printf(" %s=%llu reqs (wait %llu us, service %llu us)",
            IoCauseName(static_cast<IoCause>(i)),
-           static_cast<unsigned long long>(cause[i].requests),
-           static_cast<unsigned long long>(cause[i].wait_us),
-           static_cast<unsigned long long>(cause[i].service_us));
+           MetricCount(window, DiskCauseMetric(i, "requests")),
+           MetricCount(window, DiskCauseMetric(i, "wait_us")),
+           MetricCount(window, DiskCauseMetric(i, "service_us")));
   }
   printf("\n");
 }
@@ -429,59 +412,55 @@ inline void PrintDiskCauseLine(const std::string& config,
 inline void PrintRigProfile(const BenchConfig& cfg, ArchRig* rig,
                             const std::string& config) {
   if (!cfg.profile && !cfg.blame) return;
-  Profiler* prof = rig->env()->profiler();
+  // Whole-run window (includes load/warmup): the delta against an empty
+  // baseline is the sample itself. Coverage here reads as "fraction of the
+  // run spent inside transactions".
+  std::map<std::string, double> run = rig->env()->metrics()->SampleNumeric();
   if (cfg.profile) {
-    std::vector<std::string> tags = prof->SpanTags();
+    std::vector<std::string> tags = rig->env()->profiler()->SpanTags();
     if (tags.empty()) {
       printf("\n[profile] %s: no transaction spans recorded\n",
              config.c_str());
     }
     for (const std::string& tag : tags) {
-      // Whole-run window (includes load/warmup), so coverage here reads as
-      // "fraction of the run spent inside transactions".
-      PrintProfileTable(config, tag, prof->AggFor(tag), rig->env()->Now());
+      PrintProfileTable(config, tag, run, rig->env()->Now());
     }
-    Profiler::DiskAgg cause[kNumIoCauses];
-    for (int i = 0; i < kNumIoCauses; i++) {
-      cause[i] = prof->DiskCauseAgg(static_cast<IoCause>(i));
-    }
-    PrintDiskCauseLine(config, cause);
+    PrintDiskCauseLine(config, run);
   }
-  if (cfg.blame) {
-    // Whole-run blame: delta against an empty baseline.
-    PrintBlameTable(config, BlameDelta(rig->env()->metrics(), {}));
-  }
+  if (cfg.blame) PrintBlameTable(config, run);
 }
 
-/// JSON object for a span aggregate: {"spans":N,...,"phases":{...}}.
-/// Keys are emitted in fixed order so the output is deterministic.
-inline std::string SpanAggJson(const Profiler::SpanAgg& agg) {
+/// JSON object for one manager's span aggregate in `window`:
+/// {"spans":N,...,"phases":{...}}. Keys are emitted in fixed order so the
+/// output is deterministic.
+inline std::string SpanAggJson(const std::map<std::string, double>& window,
+                               const std::string& mgr) {
   std::string out = Fmt(
       "{\"spans\": %llu, \"committed\": %llu, \"elapsed_us\": %llu, "
       "\"phases\": {",
-      static_cast<unsigned long long>(agg.spans),
-      static_cast<unsigned long long>(agg.committed),
-      static_cast<unsigned long long>(agg.elapsed_us));
+      MetricCount(window, SpanMetric(mgr, "elapsed_us.count")),
+      MetricCount(window, "txn." + mgr + ".committed"),
+      MetricCount(window, SpanMetric(mgr, "elapsed_us.sum")));
   for (int i = 0; i < kNumPhases; i++) {
     out += Fmt("%s\"%s\": %llu", i > 0 ? ", " : "",
                PhaseName(static_cast<Phase>(i)),
-               static_cast<unsigned long long>(agg.phase_us[i]));
+               MetricCount(window, PhaseSumMetric(mgr, i)));
   }
   out += "}}";
   return out;
 }
 
 /// JSON object mapping cause name -> {"requests","wait_us","service_us"}.
-inline std::string DiskCauseJson(const Profiler::DiskAgg cause[kNumIoCauses]) {
+inline std::string DiskCauseJson(const std::map<std::string, double>& window) {
   std::string out = "{";
   for (int i = 0; i < kNumIoCauses; i++) {
     out += Fmt(
         "%s\"%s\": {\"requests\": %llu, \"wait_us\": %llu, "
         "\"service_us\": %llu}",
         i > 0 ? ", " : "", IoCauseName(static_cast<IoCause>(i)),
-        static_cast<unsigned long long>(cause[i].requests),
-        static_cast<unsigned long long>(cause[i].wait_us),
-        static_cast<unsigned long long>(cause[i].service_us));
+        MetricCount(window, DiskCauseMetric(i, "requests")),
+        MetricCount(window, DiskCauseMetric(i, "wait_us")),
+        MetricCount(window, DiskCauseMetric(i, "service_us")));
   }
   out += "}";
   return out;
@@ -516,18 +495,12 @@ inline TpcbMeasurement MeasureTpcb(Arch arch, const BenchConfig& cfg,
       }
     }
     uint64_t syscalls0 = rig->env()->stats().syscalls;
-    // Snapshot the profiler so the reported attribution covers exactly the
+    // Sample the registry so every reported view covers exactly the
     // measured window (warmup excluded). The embedded manager tags its
     // spans "embedded"; both user-level architectures go through LIBTP.
-    Profiler* prof = rig->env()->profiler();
+    MetricsRegistry* metrics = rig->env()->metrics();
+    const std::map<std::string, double> sample0 = metrics->SampleNumeric();
     out.prof_mgr = arch == Arch::kEmbedded ? "embedded" : "libtp";
-    Profiler::SpanAgg prof0 = prof->AggFor(out.prof_mgr);
-    Profiler::DiskAgg disk0[kNumIoCauses];
-    for (int i = 0; i < kNumIoCauses; i++) {
-      disk0[i] = prof->DiskCauseAgg(static_cast<IoCause>(i));
-    }
-    std::map<std::string, double> blame0;
-    if (cfg.blame) blame0 = BlameSnapshot(rig->env()->metrics());
     fprintf(stderr, "[bench] %s: measuring...\n", ArchName(arch));
     out.users = cfg.users;
     if (cfg.users <= 1) {
@@ -576,25 +549,19 @@ inline TpcbMeasurement MeasureTpcb(Arch arch, const BenchConfig& cfg,
                                 : 0;
     }
     out.syscalls = rig->env()->stats().syscalls - syscalls0;
-    out.prof = SpanAggDelta(prof->AggFor(out.prof_mgr), prof0);
-    for (int i = 0; i < kNumIoCauses; i++) {
-      out.disk_cause[i] =
-          DiskAggDelta(prof->DiskCauseAgg(static_cast<IoCause>(i)), disk0[i]);
-    }
-    out.coverage = out.elapsed > 0
-                       ? static_cast<double>(out.prof.elapsed_us) /
-                             static_cast<double>(out.elapsed)
-                       : 0;
+    out.window = MetricDelta(metrics->SampleNumeric(), sample0);
+    out.coverage =
+        out.elapsed > 0
+            ? MetricValue(out.window,
+                          SpanMetric(out.prof_mgr, "elapsed_us.sum")) /
+                  static_cast<double>(out.elapsed)
+            : 0;
     if (cfg.profile) {
-      PrintProfileTable(ArchSlug(arch), out.prof_mgr, out.prof, out.elapsed);
-      PrintDiskCauseLine(ArchSlug(arch), out.disk_cause);
+      PrintProfileTable(ArchSlug(arch), out.prof_mgr, out.window,
+                        out.elapsed);
+      PrintDiskCauseLine(ArchSlug(arch), out.window);
     }
-    if (cfg.blame) {
-      std::map<std::string, double> delta =
-          BlameDelta(rig->env()->metrics(), blame0);
-      out.blame_json = BlameJson(delta);
-      PrintBlameTable(ArchSlug(arch), delta);
-    }
+    if (cfg.blame) PrintBlameTable(ArchSlug(arch), out.window);
     if (rig->machine->cleaner != nullptr) {
       out.cleaner_cleaned = rig->machine->cleaner->stats().segments_cleaned;
       out.cleaner_busy = rig->machine->cleaner->stats().busy_us;

@@ -64,12 +64,12 @@ int main(int argc, char** argv) {
           ArchSlug(row.arch), m.prof_mgr.c_str(), m.tps,
           (unsigned long long)m.elapsed, (unsigned long long)m.txns,
           m.coverage);
-      summary_configs += SpanAggJson(m.prof);
+      summary_configs += SpanAggJson(m.window, m.prof_mgr);
       summary_configs += ",\n     \"disk_cause\": ";
-      summary_configs += DiskCauseJson(m.disk_cause);
-      if (!m.blame_json.empty()) {
+      summary_configs += DiskCauseJson(m.window);
+      if (cfg.blame) {
         summary_configs += ",\n     \"blame\": ";
-        summary_configs += m.blame_json;
+        summary_configs += BlameJson(m.window);
       }
       summary_configs += "}";
     }

@@ -150,15 +150,10 @@ CleanPoint Measure(const BenchConfig& cfg, Arch arch, int fullness,
     }
     LFSTX_CHECK(k->Sync().ok(), "post-fill sync failed");
 
-    // Snapshot the accountant: everything after this line is the churn
+    // Sample the registry: everything after this line is the churn
     // window, the marginal cost of writing at this fullness.
-    LogEcon* le = env->log_econ();
-    uint64_t base_cat[kNumLogByteCats];
-    for (int c = 0; c < kNumLogByteCats; c++) {
-      base_cat[c] = le->blocks(static_cast<LogByteCat>(c));
-    }
-    uint64_t base_disk = rig->machine->disk->stats().blocks_written;
-    uint64_t base_logical = le->logical_user_bytes();
+    const std::map<std::string, double> churn0 =
+        env->metrics()->SampleNumeric();
     SimTime t0 = env->Now();
 
     // Uniform random single-block overwrites: every overwrite kills the
@@ -195,16 +190,18 @@ CleanPoint Measure(const BenchConfig& cfg, Arch arch, int fullness,
     env->SleepFor(500 * kMillisecond);
 
     p.churn_elapsed = env->Now() - t0;
-    p.churn_disk_blocks =
-        rig->machine->disk->stats().blocks_written - base_disk;
-    p.churn_logical_bytes = le->logical_user_bytes() - base_logical;
-    uint64_t d_user =
-        le->blocks(LogByteCat::kUserData) - base_cat[0];
-    uint64_t d_wal = le->blocks(LogByteCat::kWal) - base_cat[1];
-    p.churn_payload_blocks = d_user + d_wal;
-    p.churn_cleaner_blocks =
-        le->blocks(LogByteCat::kCleaner) -
-        base_cat[static_cast<int>(LogByteCat::kCleaner)];
+    const std::map<std::string, double> churn =
+        MetricDelta(env->metrics()->SampleNumeric(), churn0);
+    auto churn_blocks = [&churn](LogByteCat c) {
+      return MetricCount(churn,
+                         std::string("logecon.bytes.") + LogByteCatName(c)) /
+             kBlockSize;
+    };
+    p.churn_disk_blocks = MetricCount(churn, "disk.blocks_written");
+    p.churn_logical_bytes = MetricCount(churn, "logecon.logical_user_bytes");
+    p.churn_payload_blocks =
+        churn_blocks(LogByteCat::kUserData) + churn_blocks(LogByteCat::kWal);
+    p.churn_cleaner_blocks = churn_blocks(LogByteCat::kCleaner);
     p.churn_wa_physical =
         p.churn_payload_blocks == 0
             ? 0.0
@@ -266,9 +263,8 @@ CleanPoint Measure(const BenchConfig& cfg, Arch arch, int fullness,
     p.cleaner_rounds = rig->machine->cleaner->stats().rounds;
     p.segments_cleaned = rig->machine->cleaner->stats().segments_cleaned;
   }
-  for (const auto& kv : env->metrics()->SampleNumeric()) {
-    if (kv.first == "logecon.live_fraction") p.live_fraction_end = kv.second;
-  }
+  p.live_fraction_end =
+      MetricValue(env->metrics()->SampleNumeric(), "logecon.live_fraction");
   p.pretty = env->metrics()->PrettyPrint({"cleaner.", "wa.", "logecon."});
   cfg.DumpMetrics(Fmt("fig_cleaning_%s_f%d_%s", ArchSlug(arch), p.fullness,
                       wm.name),

@@ -189,26 +189,36 @@ std::string MetricsRegistry::ToJson() const {
   return out;
 }
 
-std::vector<std::pair<std::string, double>> MetricsRegistry::SampleNumeric()
-    const {
-  std::vector<std::pair<std::string, double>> out;
-  out.reserve(entries_.size());
+std::map<std::string, double> MetricsRegistry::SampleNumeric() const {
+  std::map<std::string, double> out;
   for (const auto& [name, e] : entries_) {
     switch (e.kind) {
       case Entry::Kind::kCounter:
-        out.emplace_back(name, static_cast<double>(e.counter->value()));
+        out.emplace(name, static_cast<double>(e.counter->value()));
         break;
       case Entry::Kind::kGauge:
-        out.emplace_back(name, e.fn ? e.fn() : 0.0);
+        out.emplace(name, e.fn ? e.fn() : 0.0);
         break;
       case Entry::Kind::kHistogram:
-        out.emplace_back(name + ".count",
-                         static_cast<double>(e.histogram->count()));
-        out.emplace_back(name + ".sum", e.histogram->sum());
+        out.emplace(name + ".count",
+                    static_cast<double>(e.histogram->count()));
+        out.emplace(name + ".sum", e.histogram->sum());
         break;
     }
   }
   return out;
+}
+
+std::map<std::string, double> MetricDelta(
+    const std::map<std::string, double>& after,
+    const std::map<std::string, double>& before) {
+  std::map<std::string, double> d;
+  for (const auto& [name, v] : after) {
+    auto it = before.find(name);
+    d.emplace_hint(d.end(), name,
+                   v - (it != before.end() ? it->second : 0.0));
+  }
+  return d;
 }
 
 std::string MetricsRegistry::PrettyPrint(

@@ -175,18 +175,6 @@ std::unique_ptr<Machine> Machine::Build(const Options& options) {
                                          options.sync_interval);
   }
   m->kernel = std::make_unique<Kernel>(m->env.get(), m->fs.get());
-  // Metrics sampler: started last so the first tick sees every component's
-  // gauges and histograms registered.
-  SimTime interval = options.sample_interval;
-  if (interval == 0) {
-    if (const char* e = getenv("LFSTX_SAMPLE_MS")) {
-      interval = strtoull(e, nullptr, 10) * kMillisecond;
-    }
-  }
-  if (interval > 0) {
-    m->env->tracer()->Enable(TraceCat::kMetrics);
-    m->sampler = std::make_unique<MetricsSampler>(m->env.get(), interval);
-  }
   return m;
 }
 

@@ -18,7 +18,6 @@
 #include "lfs/checkpointer.h"
 #include "lfs/cleaner.h"
 #include "lfs/lfs.h"
-#include "sim/sampler.h"
 #include "sim/sim_env.h"
 
 namespace lfstx {
@@ -107,11 +106,6 @@ struct Machine {
     /// Trace output path. Empty = consult LFSTX_TRACE_FILE, and fall back
     /// to stderr when that is unset too.
     std::string trace_path;
-    /// Metrics sampling interval (virtual time). Nonzero starts a
-    /// MetricsSampler that emits metric_sample delta events every interval
-    /// and force-enables the metrics trace category. Zero = consult
-    /// LFSTX_SAMPLE_MS (milliseconds), off when that is unset too.
-    SimTime sample_interval = 0;
     /// Flight-recorder depth: keep the last N trace events per category in
     /// memory and dump them when an LFSTX_CHECK fails. -1 (default) keeps
     /// 64 per category when file tracing is off and disables the recorder
@@ -129,7 +123,6 @@ struct Machine {
   std::unique_ptr<Checkpointer> checkpointer;  ///< when start_checkpointer
   std::unique_ptr<OnlineFsck> fsck;            ///< when start_fsck
   std::unique_ptr<Kernel> kernel;
-  std::unique_ptr<MetricsSampler> sampler;  ///< when sample_interval > 0
 
   Lfs* lfs() const;  ///< null when running the read-optimized FS
 

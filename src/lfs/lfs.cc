@@ -89,8 +89,7 @@ Lfs::Lfs(SimEnv* env, SimDisk* disk, BufferCache* cache, Options options)
                                 : static_cast<double>(live) /
                                       static_cast<double>(cap);
               });
-  // Sampler-visible log-health time series (ISSUE: "the log's health is a
-  // time series, not just an end-state").
+  // Log health as gauges, so a snapshot at any point of a run reads it.
   m->AddGauge(this, "logecon.live_fraction", "ratio",
               "live blocks / total log capacity", [this] {
                 uint64_t cap = static_cast<uint64_t>(usage_.nsegments()) *

@@ -44,8 +44,7 @@ constexpr CatName kCatNames[] = {
     {TraceCat::kTxn, "txn"},             {TraceCat::kLock, "lock"},
     {TraceCat::kLog, "log"},             {TraceCat::kSync, "sync"},
     {TraceCat::kCheck, "check"},         {TraceCat::kProf, "prof"},
-    {TraceCat::kBlame, "blame"},         {TraceCat::kMetrics, "metrics"},
-    {TraceCat::kOpenLoop, "openloop"},
+    {TraceCat::kBlame, "blame"},         {TraceCat::kOpenLoop, "openloop"},
     {TraceCat::kLogEcon, "logecon"},
 };
 

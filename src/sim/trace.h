@@ -45,12 +45,11 @@ enum class TraceCat : uint32_t {
   kCheck = 1u << 10,      ///< invariant-checker runs and failures
   kProf = 1u << 11,       ///< profiler per-transaction phase breakdowns
   kBlame = 1u << 12,      ///< wait_edge causal blame events (who held me up)
-  kMetrics = 1u << 13,    ///< metric_sample virtual-time sampler deltas
-  kOpenLoop = 1u << 14,   ///< open-loop arrival driver: sheds, request ends
-  kLogEcon = 1u << 15,    ///< byte provenance + segment lifecycle economics
+  kOpenLoop = 1u << 13,   ///< open-loop arrival driver: sheds, request ends
+  kLogEcon = 1u << 14,    ///< byte provenance + segment lifecycle economics
 };
 
-constexpr uint32_t kTraceAll = (1u << 16) - 1;
+constexpr uint32_t kTraceAll = (1u << 15) - 1;
 
 /// One key/value in a trace event. Implicit constructors let call sites
 /// write `{"block", addr}, {"op", "read"}`.
