@@ -267,5 +267,38 @@ TEST(BufferCacheTest, ExhaustionReportsNoSpace) {
   f.env.Run();
 }
 
+// Two processes miss the same block while the cache is full of dirty
+// frames: each eviction yields in its write-back, so the second process
+// misses too before the first has inserted the block. The key must be
+// looked up again after every eviction, or the second insert replaces
+// (and frees) the first process's frame while it stays on the LRU list.
+TEST(BufferCacheTest, ConcurrentMissesOfOneBlockShareAFrame) {
+  CacheFixture f(8);
+  Buffer* got[2] = {nullptr, nullptr};
+  f.env.Spawn("fill", [&] {
+    for (uint64_t i = 0; i < 8; i++) {
+      auto r = f.cache.GetNoLoad(BufferKey{40, i});
+      ASSERT_TRUE(r.ok());
+      r.value()->disk_addr = 700 + i;
+      f.cache.MarkDirty(r.value());
+      f.cache.Release(r.value());
+    }
+    for (int p = 0; p < 2; p++) {
+      f.env.Spawn(p == 0 ? "p0" : "p1", [&f, &got, p] {
+        auto r = f.cache.GetNoLoad(BufferKey{41, 0});
+        ASSERT_TRUE(r.ok()) << r.status().ToString();
+        got[p] = r.value();
+      });
+    }
+  });
+  f.env.Run();
+  EXPECT_GE(f.wb.flushed, 2);  // both evictions really yielded
+  ASSERT_NE(got[0], nullptr);
+  EXPECT_EQ(got[0], got[1]);
+  EXPECT_TRUE(f.cache.CheckInvariants().empty())
+      << f.cache.CheckInvariants().front();
+  EXPECT_EQ(f.cache.size(), 7u);
+}
+
 }  // namespace
 }  // namespace lfstx
