@@ -138,36 +138,61 @@ Result<DbPage*> BufferPool::Get(uint32_t file_ref, uint64_t pageno,
                                 bool write_intent) {
   SimEnv* env = kernel_->env();
   env->LatchOp();  // acquire the shared-memory pool latch
+  const Key key{file_ref, pageno};
   DbPage* page = nullptr;
-  auto it = pages_.find(Key{file_ref, pageno});
-  if (it != pages_.end()) {
-    page = it->second.get();
-    stats_.hits++;
-  } else {
-    stats_.misses++;
-    while (pages_.size() >= capacity_) {
+  // Eviction and the read both yield, so every pass looks the page up
+  // afresh: another process may have loaded, or be loading, it meanwhile.
+  for (;;) {
+    auto it = pages_.find(key);
+    if (it != pages_.end()) {
+      page = it->second.get();
+      if (page->loading) {
+        if (page->load_wait == nullptr) {
+          page->load_wait = std::make_unique<WaitQueue>(env);
+        }
+        // The loader may drop the page if its read fails, so nothing of
+        // it is touched after the wakeup.
+        if (page->load_wait->Sleep() == WakeReason::kStopped) {
+          env->LatchOp();
+          return Status::Busy("simulation stopped during page load wait");
+        }
+        continue;
+      }
+      stats_.hits++;
+      page->pins++;
+      break;
+    }
+    if (pages_.size() >= capacity_) {
       Status s = EvictOne();
       if (!s.ok()) {
         env->LatchOp();
         return s;
       }
+      continue;
     }
+    stats_.misses++;
     auto owned = std::make_unique<DbPage>();
     page = owned.get();
     page->file_ref = file_ref;
     page->pageno = pageno;
     memset(page->data, 0, sizeof(page->data));
+    page->pins = 1;
+    // LFSTX_YIELD_OK(reached only from a miss with no yield since the lookup)
+    pages_.emplace(key, std::move(owned));
     if (pageno < files_[file_ref].pages) {
+      page->loading = true;
       auto n = kernel_->Read(files_[file_ref].ino, pageno * kBlockSize,
                              kBlockSize, page->data);
+      page->loading = false;
+      if (page->load_wait != nullptr) page->load_wait->WakeAll();
       if (!n.ok()) {
+        pages_.erase(key);
         env->LatchOp();
         return n.status();
       }
     }
-    pages_[Key{file_ref, pageno}] = std::move(owned);
+    break;
   }
-  page->pins++;
   TouchLru(page);
   if (write_intent && page->snapshot == nullptr) {
     page->snapshot =

@@ -30,6 +30,11 @@ struct DbPage {
   uint64_t pageno = 0;
   bool dirty = false;
   int pins = 0;
+  /// In transit: inserted (pinned) before the read that fills it, the
+  /// getblk/B_BUSY protocol. A process that finds a loading page waits on
+  /// `load_wait`, then looks the page up again.
+  bool loading = false;
+  std::unique_ptr<WaitQueue> load_wait;  ///< created by the first waiter
   /// Snapshot taken when the page was fetched with write intent; the
   /// before/after diff becomes the log record.
   std::unique_ptr<std::string> snapshot;

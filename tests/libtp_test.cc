@@ -2,6 +2,8 @@
 // WAL rule, commit/abort semantics, group commit, and restart recovery.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "harness/table.h"
 #include "libtp/log_record.h"
 #include "machines.h"
@@ -227,6 +229,76 @@ TEST(LibTpTest, GroupCommitBatchesFsyncs) {
     uint64_t flushes = tp->log()->stats().flushes - flushes_before;
     EXPECT_LE(flushes, 2u);  // 4 commits, at most 2 fsync batches
   });
+}
+
+// Processes that miss pool pages while a read is in flight: A and B miss
+// the same page, C a different one, all in a full pool. The read yields,
+// so B must find A's in-transit page and wait for it rather than read and
+// insert a second copy (which freed A's pinned page), and C must count
+// A's page against the capacity before A's read completes.
+void ConcurrentMissesShareOneRead(SimBackend backend) {
+  SCOPED_TRACE(SimBackendName(backend));
+  Machine::Options mo;
+  mo.sim_backend = backend;
+  LibTp::Options lo;
+  lo.pool_pages = 8;
+  auto rig = ArchRig::Create(Arch::kUserLfs, mo, lo);
+  Status run = rig->Run([&] {
+    Kernel* k = rig->machine->kernel.get();
+    BufferPool* pool = rig->libtp->pool();
+    auto ino = k->Create("/pages");
+    ASSERT_TRUE(ino.ok());
+    ASSERT_TRUE(
+        k->Write(ino.value(), 0, std::string(16 * kBlockSize, 'p')).ok());
+    // Nothing of the file stays in the kernel cache: every pool miss
+    // reads through to the disk, and yields there.
+    ASSERT_TRUE(rig->machine->fs->SyncAll().ok());
+    rig->machine->cache->DropFile(ino.value());
+    uint32_t fref = pool->RegisterFile("/pages", false).value();
+    for (uint64_t pg = 8; pg < 16; pg++) {  // fill the pool, all clean
+      auto p = pool->Get(fref, pg, false);
+      ASSERT_TRUE(p.ok());
+      pool->Release(p.value());
+    }
+    const BufferPool::Stats before = pool->stats();
+    auto resident = [&] {
+      return rig->env()->metrics()->SampleNumeric().at("pool.resident");
+    };
+    DbPage* got[3] = {nullptr, nullptr, nullptr};
+    double max_resident = 0;
+    int done = 0;
+    for (int i = 0; i < 3; i++) {
+      rig->env()->Spawn(std::string(1, static_cast<char>('A' + i)), [&, i] {
+        auto p = pool->Get(fref, i < 2 ? 0 : 1, false);
+        max_resident = std::max(max_resident, resident());
+        done++;
+        ASSERT_TRUE(p.ok()) << p.status().ToString();
+        got[i] = p.value();
+      });
+    }
+    while (done < 3) rig->env()->SleepFor(kMillisecond);
+    EXPECT_EQ(got[0], got[1]);
+    EXPECT_NE(got[0], got[2]);
+    EXPECT_EQ(pool->stats().misses - before.misses, 2u);  // one read each
+    EXPECT_EQ(pool->stats().hits - before.hits, 1u);
+    EXPECT_LE(max_resident, 8.0);
+    EXPECT_LE(resident(), 8.0);
+    if (got[0] == got[1]) {
+      EXPECT_EQ(got[0]->data[100], 'p');
+      pool->Release(got[0]);
+      pool->Release(got[1]);
+      pool->Release(got[2]);
+    }
+  });
+  EXPECT_TRUE(run.ok()) << run.ToString();
+}
+
+TEST(LibTpTest, ConcurrentMissesShareOneReadThreads) {
+  ConcurrentMissesShareOneRead(SimBackend::kThreads);
+}
+
+TEST(LibTpTest, ConcurrentMissesShareOneReadFibers) {
+  ConcurrentMissesShareOneRead(SimBackend::kFibers);
 }
 
 }  // namespace
