@@ -4,7 +4,8 @@
 // analyzer must report on that exact line; any other finding in this
 // directory fails the self-test. The classes mirror real shapes from the
 // tree: iterators and references held across a yield, member state cached
-// across a yield, and a SimMutexGuard scope enclosing a yield.
+// across a yield, a SimMutexGuard scope enclosing a yield, and an insert
+// after a lookup that missed before a yield.
 //
 // The fixture is parsed, never compiled — only the shapes matter.
 #include <map>
@@ -29,6 +30,8 @@ class Pool {
   void DrainAll();
   void CachedOffset();
   void GuardedFlush();
+  void LoadFrame();
+  void ReloadFrame();
   void SafeSnapshot();
 
  private:
@@ -69,6 +72,23 @@ void Pool::CachedOffset() {
 void Pool::GuardedFlush() {
   SimMutexGuard g(&pool_lock_);  // EXPECT-HAZARD: guard-across-yield
   io_wait_.Sleep();
+}
+
+// lookup-insert-across-yield: the lookup missed, the fiber yields (as a
+// read into a fresh frame would), and another process may have inserted
+// key 3 meanwhile; this insert would clobber its entry.
+void Pool::LoadFrame() {
+  if (frames_.find(3) != frames_.end()) return;
+  io_wait_.Sleep();
+  frames_[3] = 0;  // EXPECT-HAZARD: lookup-insert-across-yield
+}
+
+// Clean control: looking the key up again after the yield is the fix.
+void Pool::ReloadFrame() {
+  if (frames_.count(4) != 0) return;
+  io_wait_.Sleep();
+  if (frames_.count(4) != 0) return;
+  frames_.emplace(4, 0);
 }
 
 // The blocking primitive itself must propagate through the call graph:

@@ -9,7 +9,7 @@ cooperative equivalent of a data race — and TSan cannot see it, because all
 fibers share one OS thread.
 
 This tool extracts an approximate call graph from src/, seeds a may-block
-set from the primitives, propagates it transitively, and then flags three
+set from the primitives, propagates it transitively, and then flags four
 hazard shapes inside every function that contains a may-block call:
 
   iterator-across-yield   an iterator/reference into a shared (member)
@@ -23,6 +23,12 @@ hazard shapes inside every function that contains a may-block call:
                           call — the lock is held across the yield, which
                           is either a deliberate design (annotate it) or a
                           latent convoy/deadlock
+  lookup-insert-across-yield  a lookup in a shared (member) container, a
+                          may-block call, then an insert into the same
+                          container with no fresh lookup after the yield —
+                          another process may have inserted the key
+                          meanwhile, and the insert clobbers (or, for a
+                          map of owning pointers, frees) its entry
 
 The analysis is textual and over-approximate by design: unresolvable
 receivers fall back to matching any known function of the same name, and
@@ -320,6 +326,10 @@ SCALAR_TYPES = (r"uint8_t|uint16_t|uint32_t|uint64_t|int|int32_t|int64_t|"
 SCALAR_DECL_RE = re.compile(
     r"^\s*(?:const\s+)?(?:" + SCALAR_TYPES + r")\s+(\w+)\s*=\s*([^;]+);")
 GUARD_RE = re.compile(r"\bSimMutexGuard\s+(\w+)\s*[({]\s*&?\s*([\w.>*-]+)")
+LOOKUP_RE = re.compile(r"\b(\w+_)\s*(?:\.|->)\s*(?:find|count|contains)\s*\(")
+INSERT_RE = re.compile(
+    r"\b(\w+_)\s*(?:(?:\.|->)\s*(?:emplace|insert|try_emplace|"
+    r"insert_or_assign)\s*\(|\[[^\]]*\]\s*=(?!=))")
 YIELD_OK_MUTEX_RE = re.compile(
     r"(\w+)\s*\([^;{}()]*/\*\s*yield_ok\s*=\s*\*/\s*true\s*\)")
 MEMBER_TOKEN_RE = re.compile(r"\b(\w+_)\b")
@@ -462,6 +472,24 @@ def scan_function(fn, blocking, all_names, classes, mutated_members,
                     f"below may yield, and `{var}` is reused on line "
                     f"{use} without revalidation"))
                 break
+
+    # --- lookup-insert-across-yield ---
+    lookups = defaultdict(list)  # container -> lines that look it up
+    for ln, text in lines:
+        for m in LOOKUP_RE.finditer(text):
+            lookups[m.group(1)].append(ln)
+    for ln, text in lines:
+        for m in INSERT_RE.finditer(text):
+            container = m.group(1)
+            last = max((l for l in lookups.get(container, ()) if l < ln),
+                       default=None)
+            if last is not None and block_between(last, ln):
+                findings.append(Finding(
+                    fn.path, ln, "lookup-insert-across-yield",
+                    f"`{container}` is looked up on line {last}, a call "
+                    f"below it may yield, and this insert does not look "
+                    f"again — another process may have inserted the key "
+                    f"meanwhile"))
 
     # --- guard-across-yield ---
     for idx, (ln, text) in enumerate(lines):
