@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <string>
 
 #include "common/metrics.h"
 #include "sim/sim_env.h"
@@ -45,6 +47,48 @@ TEST(MetricsRegistryTest, GaugeFirstWinsAndDropOwner) {
   EXPECT_EQ(reg.size(), 1u);
   reg.DropOwner(&a);
   EXPECT_EQ(reg.size(), 0u);
+}
+
+TEST(MetricsRegistryTest, MetricDeltaWindowsCountersHistogramsAndGauges) {
+  MetricsRegistry reg;
+  MetricCounter* reads = reg.GetCounter("disk.reads", "count", "reads");
+  MetricHistogram* lock = reg.GetHistogram("blame.lock_us", "us", "waits");
+  int owner = 0;
+  double level = 10;
+  reg.AddGauge(&owner, "lfs.clean_segments", "segments", "clean now",
+               [&level] { return level; });
+  reads->Inc(3);
+  lock->Add(100);
+  lock->Add(50);
+
+  // Histograms contribute exactly their count and sum.
+  const std::map<std::string, double> before = reg.SampleNumeric();
+  const std::map<std::string, double> want_before = {
+      {"blame.lock_us.count", 2}, {"blame.lock_us.sum", 150},
+      {"disk.reads", 3}, {"lfs.clean_segments", 10}};
+  EXPECT_EQ(before, want_before);
+
+  reads->Inc(4);
+  lock->Add(7);
+  level = 6;
+  // Registered inside the window: counts from zero.
+  reg.GetCounter("cleaner.passes", "count", "passes")->Inc(2);
+
+  const std::map<std::string, double> want_window = {
+      {"blame.lock_us.count", 1}, {"blame.lock_us.sum", 7},
+      {"cleaner.passes", 2},      {"disk.reads", 4},
+      {"lfs.clean_segments", -4}};  // a gauge: change of its sampled value
+  EXPECT_EQ(MetricDelta(reg.SampleNumeric(), before), want_window);
+
+  // Whole run: the delta against an empty baseline is the sample itself.
+  EXPECT_EQ(MetricDelta(reg.SampleNumeric(), {}), reg.SampleNumeric());
+
+  // A name gone by the end of the window (its owner dropped it) is not in
+  // the window at all.
+  reg.DropOwner(&owner);
+  EXPECT_EQ(MetricDelta(reg.SampleNumeric(), before).count(
+                "lfs.clean_segments"),
+            0u);
 }
 
 TEST(MetricsRegistryTest, HistogramPercentiles) {
